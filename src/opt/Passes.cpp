@@ -295,42 +295,85 @@ PassCrash runSimplifyCfg(Module &M, const BugHost &Bugs) {
             return crash(BugPoint::CrashKillObstructsMerge);
 
     // Merge straight-line pairs: B ends "Branch S", S's only predecessor is
-    // B, and S starts with no phis.
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      Cfg Graph(Func);
-      for (BasicBlock &Block : Func.Blocks) {
-        if (!Block.hasTerminator() ||
-            Block.terminator().Opcode != Op::Branch)
-          continue;
-        Id SuccId = Block.terminator().idOperand(0);
-        if (SuccId == Block.LabelId)
-          continue;
-        if (Graph.predecessors(SuccId).size() != 1)
-          continue;
-        BasicBlock *Succ = Func.findBlock(SuccId);
-        if (!Succ || (!Succ->Body.empty() && Succ->Body[0].Opcode == Op::Phi))
-          continue;
-        // Splice S into B and rename S to B in downstream phis.
-        Block.Body.pop_back();
-        Block.Body.insert(Block.Body.end(), Succ->Body.begin(),
-                          Succ->Body.end());
-        std::vector<Id> NewSuccs = Block.successors();
-        Func.Blocks.erase(Func.Blocks.begin() + *Func.blockIndex(SuccId));
-        for (Id Downstream : NewSuccs)
-          if (BasicBlock *DownstreamBlock = Func.findBlock(Downstream))
-            for (Instruction &Inst : DownstreamBlock->Body) {
-              if (Inst.Opcode != Op::Phi)
-                break;
-              for (size_t I = 0; I + 1 < Inst.Operands.size(); I += 2)
-                if (Inst.Operands[I + 1].asId() == SuccId)
-                  Inst.Operands[I + 1] = Operand::id(Block.LabelId);
-            }
-        Changed = true;
-        break; // iteration state invalidated; restart
-      }
+    // B, and S starts with no phis. A merge keeps every predecessor count
+    // and every block's leading phis, so the mergeable edges are fixed
+    // before the first merge: each maximal chain collapses into its head,
+    // at the head's position, whatever the merge order.
+    std::vector<BasicBlock> &Blocks = Func.Blocks;
+    std::unordered_map<Id, size_t> Index;
+    std::unordered_map<Id, size_t> PredCount;
+    for (size_t I = 0; I < Blocks.size(); ++I) {
+      Index.emplace(Blocks[I].LabelId, I);
+      for (Id Succ : Blocks[I].successors())
+        ++PredCount[Succ];
     }
+    constexpr size_t NoBlock = SIZE_MAX;
+    std::vector<size_t> Next(Blocks.size(), NoBlock);
+    std::vector<bool> Absorbed(Blocks.size(), false);
+    for (size_t I = 0; I < Blocks.size(); ++I) {
+      const BasicBlock &Block = Blocks[I];
+      if (!Block.hasTerminator() || Block.terminator().Opcode != Op::Branch)
+        continue;
+      Id SuccId = Block.terminator().idOperand(0);
+      auto Succ = Index.find(SuccId);
+      if (SuccId == Block.LabelId || PredCount[SuccId] != 1 ||
+          Succ == Index.end())
+        continue;
+      const std::vector<Instruction> &SuccBody = Blocks[Succ->second].Body;
+      if (!SuccBody.empty() && SuccBody[0].Opcode == Op::Phi)
+        continue;
+      Next[I] = Succ->second;
+      Absorbed[Succ->second] = true;
+    }
+
+    // Splice each chain into its head and rename the absorbed block to the
+    // head in downstream phis.
+    std::vector<bool> Spliced(Blocks.size(), false);
+    auto SpliceChain = [&](size_t Head) {
+      BasicBlock &Into = Blocks[Head];
+      for (size_t S = Next[Head]; S != NoBlock && S != Head; S = Next[S]) {
+        BasicBlock &Succ = Blocks[S];
+        Into.Body.pop_back();
+        Into.Body.insert(Into.Body.end(),
+                         std::make_move_iterator(Succ.Body.begin()),
+                         std::make_move_iterator(Succ.Body.end()));
+        Succ.Body.clear();
+        Spliced[S] = true;
+        for (Id Downstream : Into.successors()) {
+          auto It = Index.find(Downstream);
+          if (It == Index.end())
+            continue;
+          for (Instruction &Inst : Blocks[It->second].Body) {
+            if (Inst.Opcode != Op::Phi)
+              break;
+            for (size_t I = 0; I + 1 < Inst.Operands.size(); I += 2)
+              if (Inst.Operands[I + 1].asId() == Succ.LabelId)
+                Inst.Operands[I + 1] = Operand::id(Into.LabelId);
+          }
+        }
+      }
+    };
+    for (size_t I = 0; I < Blocks.size(); ++I)
+      if (!Absorbed[I])
+        SpliceChain(I);
+    // A cycle of mergeable edges has no head: only an entry block with a
+    // predecessor, which the validator rejects, can close one. Merging pair
+    // by pair collapses it into its first block in layout order.
+    for (size_t I = 0; I < Blocks.size(); ++I)
+      if (Absorbed[I] && !Spliced[I]) {
+        Absorbed[I] = false;
+        SpliceChain(I);
+      }
+
+    size_t Kept = 0;
+    for (size_t I = 0; I < Blocks.size(); ++I) {
+      if (Absorbed[I])
+        continue;
+      if (Kept != I)
+        Blocks[Kept] = std::move(Blocks[I]);
+      ++Kept;
+    }
+    Blocks.erase(Blocks.begin() + Kept, Blocks.end());
   }
   return std::nullopt;
 }
@@ -1008,53 +1051,82 @@ PassCrash runBlockLayout(Module &M, const BugHost &Bugs) {
 //===----------------------------------------------------------------------===//
 
 PassCrash runDce(Module &M, const BugHost &Bugs) {
-  bool Changed = true;
-  bool FirstRound = true;
-  while (Changed) {
-    Changed = false;
-    std::unordered_map<Id, size_t> UseCounts;
-    auto Count = [&UseCounts](const Instruction &Inst) {
-      for (const Operand &Opnd : Inst.Operands)
-        if (Opnd.isId())
-          ++UseCounts[Opnd.Word];
-    };
-    for (const Instruction &Global : M.GlobalInsts)
-      Count(Global);
-    for (const Function &Func : M.Functions) {
-      Count(Func.Def);
-      for (const BasicBlock &Block : Func.Blocks)
-        for (const Instruction &Inst : Block.Body)
-          Count(Inst);
-    }
-
-    for (Function &Func : M.Functions) {
-      for (BasicBlock &Block : Func.Blocks) {
-        if (FirstRound) {
-          for (const Instruction &Inst : Block.Body) {
-            if (Bugs.enabled(BugPoint::CrashUnusedComposite) &&
-                Inst.Opcode == Op::CompositeConstruct &&
-                UseCounts[Inst.Result] == 0)
-              return crash(BugPoint::CrashUnusedComposite);
-          }
-        }
-        size_t Before = Block.Body.size();
-        Block.Body.erase(
-            std::remove_if(Block.Body.begin(), Block.Body.end(),
-                           [&](const Instruction &Inst) {
-                             if (Inst.Result == InvalidId ||
-                                 UseCounts[Inst.Result] != 0)
-                               return false;
-                             if (Inst.Opcode == Op::Variable)
-                               return true;
-                             return isSideEffectFree(Inst.Opcode);
-                           }),
-            Block.Body.end());
-        if (Block.Body.size() != Before)
-          Changed = true;
-      }
-    }
-    FirstRound = false;
+  // Count every use once. An unused definition's removal only ever lowers
+  // counts, so a worklist fed by counts reaching zero removes exactly what
+  // recounting to a fixpoint would. A self-referencing phi keeps its use.
+  // Ids are dense (below M.Bound); out-of-bound ids, which only a module
+  // the validator rejects can hold, are neither counted nor removed.
+  std::vector<uint32_t> Uses(M.Bound, 0);
+  auto Count = [&Uses](const Instruction &Inst) {
+    for (const Operand &Opnd : Inst.Operands)
+      if (Opnd.isId() && Opnd.Word < Uses.size())
+        ++Uses[Opnd.Word];
+  };
+  for (const Instruction &Global : M.GlobalInsts)
+    Count(Global);
+  for (const Function &Func : M.Functions) {
+    Count(Func.Def);
+    for (const BasicBlock &Block : Func.Blocks)
+      for (const Instruction &Inst : Block.Body)
+        Count(Inst);
   }
+  auto Unused = [&Uses](Id TheId) {
+    return TheId != InvalidId && TheId < Uses.size() && Uses[TheId] == 0;
+  };
+  auto Removable = [&Unused](const Instruction &Inst) {
+    return Unused(Inst.Result) &&
+           (Inst.Opcode == Op::Variable || isSideEffectFree(Inst.Opcode));
+  };
+
+  if (Bugs.enabled(BugPoint::CrashUnusedComposite)) {
+    // The bug fires in the first sweep over the initial counts, which drops
+    // each block's unused definitions before checking the next block.
+    std::vector<BasicBlock *> Swept;
+    for (Function &Func : M.Functions)
+      for (BasicBlock &Block : Func.Blocks) {
+        for (const Instruction &Inst : Block.Body)
+          if (Inst.Opcode == Op::CompositeConstruct && Unused(Inst.Result)) {
+            for (BasicBlock *Earlier : Swept)
+              Earlier->Body.erase(std::remove_if(Earlier->Body.begin(),
+                                                 Earlier->Body.end(),
+                                                 Removable),
+                                  Earlier->Body.end());
+            return crash(BugPoint::CrashUnusedComposite);
+          }
+        Swept.push_back(&Block);
+      }
+  }
+
+  std::vector<const Instruction *> Defs(Uses.size(), nullptr);
+  std::vector<Id> Worklist;
+  for (const Function &Func : M.Functions)
+    for (const BasicBlock &Block : Func.Blocks)
+      for (const Instruction &Inst : Block.Body) {
+        if (Inst.Result == InvalidId || Inst.Result >= Defs.size())
+          continue;
+        Defs[Inst.Result] = &Inst;
+        if (Removable(Inst))
+          Worklist.push_back(Inst.Result);
+      }
+  std::vector<bool> Dead(Uses.size(), false);
+  while (!Worklist.empty()) {
+    Id Gone = Worklist.back();
+    Worklist.pop_back();
+    Dead[Gone] = true;
+    for (const Operand &Opnd : Defs[Gone]->Operands)
+      if (Opnd.isId() && Opnd.Word < Uses.size() && --Uses[Opnd.Word] == 0 &&
+          Defs[Opnd.Word] && Removable(*Defs[Opnd.Word]))
+        Worklist.push_back(Opnd.Word);
+  }
+
+  for (Function &Func : M.Functions)
+    for (BasicBlock &Block : Func.Blocks)
+      Block.Body.erase(std::remove_if(Block.Body.begin(), Block.Body.end(),
+                                      [&Dead](const Instruction &Inst) {
+                                        return Inst.Result < Dead.size() &&
+                                               Dead[Inst.Result];
+                                      }),
+                       Block.Body.end());
   return std::nullopt;
 }
 

@@ -117,8 +117,9 @@ TEST(EndToEnd, TargetsAreDeterministic) {
     TargetRun Second = T.run(Fuzzed.Variant, Program.Input);
     EXPECT_EQ(First.RunOutcome, Second.RunOutcome) << T.name();
     EXPECT_EQ(First.Signature, Second.Signature) << T.name();
-    if (First.RunOutcome == Outcome::Executed && T.canExecute())
+    if (First.RunOutcome == Outcome::Executed && T.canExecute()) {
       EXPECT_EQ(First.Result, Second.Result) << T.name();
+    }
   }
 }
 

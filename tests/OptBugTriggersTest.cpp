@@ -15,7 +15,10 @@
 #include "core/TransformationUtil.h"
 #include "core/Transformations.h"
 #include "opt/Passes.h"
+#include "support/ModuleHash.h"
 #include "TestHelpers.h"
+
+#include <algorithm>
 
 using namespace spvfuzz;
 using namespace spvfuzz::test;
@@ -459,6 +462,231 @@ TEST(OptBehaviour, SimplifyCfgMergesSplitBlocks) {
   runOptPass(OptPassKind::SimplifyCfg, M, BugHost());
   EXPECT_EQ(M.findFunction(F.MainId)->Blocks.size(), BlocksBefore - 1);
   expectValidAndEquivalent(F.M, M, F.Input);
+}
+
+/// Replaces the fixture's then-block with a straight chain of \p Length
+/// blocks (the then-block heads it): each block after the head adds 2 to
+/// the running value, and the tail stores it to L and branches to the
+/// merge. With \p Reversed the chain's blocks are laid out tail first, so
+/// the head comes last. Returns the chain's labels, head first.
+std::vector<Id> growThenChain(Fixture &F, size_t Length, bool Reversed) {
+  Function &Main = *F.M.findFunction(F.MainId);
+  std::vector<Id> Labels = {F.ThenBlock};
+  for (size_t I = 1; I < Length; ++I)
+    Labels.push_back(F.M.takeFreshId());
+  std::vector<BasicBlock> Chain;
+  Id Running = F.CallY;
+  for (size_t I = 0; I < Length; ++I) {
+    BasicBlock Block(Labels[I]);
+    if (I == 0) {
+      Block.Body.push_back(Main.findBlock(F.ThenBlock)->Body[0]); // the call
+    } else {
+      Id Sum = F.M.takeFreshId();
+      Block.Body.push_back(ModuleBuilder::makeBinOp(Op::IAdd, F.IntType, Sum,
+                                                    Running, F.Const2));
+      Running = Sum;
+    }
+    if (I + 1 < Length) {
+      Block.Body.push_back(ModuleBuilder::makeBranch(Labels[I + 1]));
+    } else {
+      Block.Body.push_back(ModuleBuilder::makeStore(F.LocalL, Running));
+      Block.Body.push_back(ModuleBuilder::makeBranch(F.MergeBlock));
+    }
+    Chain.push_back(std::move(Block));
+  }
+  if (Reversed)
+    std::reverse(Chain.begin(), Chain.end());
+  size_t At = *Main.blockIndex(F.ThenBlock);
+  Main.Blocks.erase(Main.Blocks.begin() + At);
+  Main.Blocks.insert(Main.Blocks.begin() + At,
+                     std::make_move_iterator(Chain.begin()),
+                     std::make_move_iterator(Chain.end()));
+  return Labels;
+}
+
+TEST(OptBehaviour, SimplifyCfgCollapsesReversedThousandBlockChain) {
+  Fixture F;
+  growThenChain(F, 1000, /*Reversed=*/true);
+  Module M = F.M;
+  ASSERT_TRUE(runOptPass(OptPassKind::SimplifyCfg, M, BugHost()) ==
+              std::nullopt);
+  const Function &Main = *M.findFunction(F.MainId);
+  ASSERT_EQ(Main.Blocks.size(), 4u);
+  EXPECT_EQ(Main.Blocks[1].LabelId, F.ThenBlock); // the head's position
+  EXPECT_EQ(Main.Blocks[2].LabelId, F.ElseBlock);
+  // Call, 999 adds, store, branch.
+  EXPECT_EQ(Main.Blocks[1].Body.size(), 1002u);
+  // The reversed layout breaks the dominance rule; the collapsed chain
+  // does not.
+  EXPECT_FALSE(isValidModule(F.M));
+  expectValidAndEquivalent(F.M, M, F.Input);
+  EXPECT_EQ(interpret(M, F.Input).Outputs.at(0), Value::makeInt(10 + 2 * 999));
+}
+
+TEST(OptBehaviour, SimplifyCfgRenamesChainTailToHeadInDownstreamPhi) {
+  Fixture F;
+  std::vector<Id> Chain = growThenChain(F, 3, /*Reversed=*/false);
+  // The merge picks its value with a phi over the chain's tail and the
+  // else-block.
+  BasicBlock &Merge = *F.M.findFunction(F.MainId)->findBlock(F.MergeBlock);
+  Id Picked = F.M.takeFreshId();
+  Id TailValue =
+      F.M.findFunction(F.MainId)->findBlock(Chain.back())->Body[0].Result;
+  Merge.Body[1] = ModuleBuilder::makeStore(F.Out, Picked);
+  Merge.Body.insert(Merge.Body.begin(),
+                    Instruction(Op::Phi, F.IntType, Picked,
+                                {Operand::id(TailValue),
+                                 Operand::id(Chain.back()),
+                                 Operand::id(F.Const5),
+                                 Operand::id(F.ElseBlock)}));
+  ASSERT_TRUE(isValidModule(F.M));
+  Module M = F.M;
+  runOptPass(OptPassKind::SimplifyCfg, M, BugHost());
+  const Function &Main = *M.findFunction(F.MainId);
+  EXPECT_EQ(Main.Blocks.size(), 4u);
+  const Instruction &Phi = Main.findBlock(F.MergeBlock)->Body[0];
+  ASSERT_EQ(Phi.Opcode, Op::Phi);
+  EXPECT_EQ(Phi.Operands[1].asId(), F.ThenBlock);
+  EXPECT_EQ(Phi.Operands[3].asId(), F.ElseBlock);
+  expectValidAndEquivalent(F.M, M, F.Input);
+}
+
+TEST(OptBehaviour, SimplifyCfgStopsAChainAtAPhiHeadedBlock) {
+  Fixture F;
+  std::vector<Id> Chain = growThenChain(F, 4, /*Reversed=*/false);
+  // Put a single-entry phi at the top of the chain's third block: the
+  // edge into it is no longer mergeable, so the chain splits in two.
+  BasicBlock &Third = *F.M.findFunction(F.MainId)->findBlock(Chain[2]);
+  Id Forwarded = F.M.takeFreshId();
+  Id Summand = Third.Body[0].idOperand(0);
+  Third.Body[0].Operands[0] = Operand::id(Forwarded);
+  Third.Body.insert(Third.Body.begin(),
+                    Instruction(Op::Phi, F.IntType, Forwarded,
+                                {Operand::id(Summand), Operand::id(Chain[1])}));
+  ASSERT_TRUE(isValidModule(F.M));
+  Module M = F.M;
+  runOptPass(OptPassKind::SimplifyCfg, M, BugHost());
+  const Function &Main = *M.findFunction(F.MainId);
+  ASSERT_EQ(Main.Blocks.size(), 5u);
+  EXPECT_EQ(Main.Blocks[1].LabelId, F.ThenBlock);
+  EXPECT_EQ(Main.Blocks[2].LabelId, Chain[2]);
+  EXPECT_EQ(Main.Blocks[1].terminator().idOperand(0), Chain[2]);
+  // The phi still names the predecessor, now the merged head.
+  EXPECT_EQ(Main.Blocks[2].Body[0].Operands[1].asId(), F.ThenBlock);
+  expectValidAndEquivalent(F.M, M, F.Input);
+}
+
+TEST(OptBehaviour, SimplifyCfgCountsEqualTargetsAsTwoPredecessors) {
+  Fixture F;
+  // The entry branches to the then-block on both arms; the else-block
+  // becomes unreachable.
+  BasicBlock &Entry = F.M.findFunction(F.MainId)->entryBlock();
+  Entry.Body.back() =
+      ModuleBuilder::makeBranchConditional(F.CondC, F.ThenBlock, F.ThenBlock);
+  ASSERT_TRUE(isValidModule(F.M));
+  Module M = F.M;
+  runOptPass(OptPassKind::SimplifyCfg, M, BugHost());
+  // The then-block keeps its two-edge predecessor; the merge, whose only
+  // predecessor left is the then-block, is absorbed into it.
+  const Function &Main = *M.findFunction(F.MainId);
+  ASSERT_EQ(Main.Blocks.size(), 2u);
+  EXPECT_EQ(Main.Blocks[1].LabelId, F.ThenBlock);
+  EXPECT_EQ(Main.Blocks[0].successors(),
+            (std::vector<Id>{F.ThenBlock, F.ThenBlock}));
+  expectValidAndEquivalent(F.M, M, F.Input);
+}
+
+TEST(OptBehaviour, SimplifyCfgCollapsesAHeadlessCycleIntoItsFirstBlock) {
+  Fixture F;
+  // helper: entry -> Loop -> entry, every edge mergeable. The validator
+  // rejects a branch to the entry block, but the pass still merges such a
+  // cycle pair by pair into its first block instead of dropping it.
+  Module M = F.M;
+  Function &Helper = *M.findFunction(F.HelperId);
+  Id Loop = M.takeFreshId();
+  Helper.entryBlock().Body.back() = ModuleBuilder::makeBranch(Loop);
+  BasicBlock LoopBlock(Loop);
+  LoopBlock.Body.push_back(ModuleBuilder::makeBranch(F.HelperBlock));
+  Helper.Blocks.push_back(std::move(LoopBlock));
+  runOptPass(OptPassKind::SimplifyCfg, M, BugHost());
+  const Function &After = *M.findFunction(F.HelperId);
+  ASSERT_EQ(After.Blocks.size(), 1u);
+  EXPECT_EQ(After.Blocks[0].LabelId, F.HelperBlock);
+  EXPECT_EQ(After.Blocks[0].Body.size(), 2u); // the add, then the self-loop
+  EXPECT_EQ(After.Blocks[0].successors(), std::vector<Id>{F.HelperBlock});
+}
+
+TEST(OptBehaviour, DceRemovesAThousandDeepDeadChain) {
+  Fixture F;
+  Module M = F.M;
+  BasicBlock &Merge = *M.findFunction(F.MainId)->findBlock(F.MergeBlock);
+  std::vector<Instruction> Dead;
+  Id Running = F.Const3;
+  for (size_t I = 0; I < 1000; ++I) {
+    Id Sum = M.takeFreshId();
+    Dead.push_back(
+        ModuleBuilder::makeBinOp(Op::IAdd, F.IntType, Sum, Running, F.Const2));
+    Running = Sum;
+  }
+  Merge.Body.insert(Merge.Body.begin() + 1, Dead.begin(), Dead.end());
+  ASSERT_TRUE(isValidModule(M));
+  runOptPass(OptPassKind::Dce, M, BugHost());
+  EXPECT_EQ(M.instructionCount(), F.M.instructionCount());
+  expectValidAndEquivalent(F.M, M, F.Input);
+}
+
+TEST(OptBehaviour, DceKeepsADeadSelfReferencingPhi) {
+  Fixture F;
+  // Turn the else-block into a loop header whose phi feeds only itself;
+  // the back edge is never taken.
+  ModuleBuilder Builder(F.M);
+  Id False = Builder.getBoolConstant(false);
+  BasicBlock &Else = *F.M.findFunction(F.MainId)->findBlock(F.ElseBlock);
+  Id Carried = F.M.takeFreshId();
+  Else.Body.insert(Else.Body.begin(),
+                   Instruction(Op::Phi, F.IntType, Carried,
+                               {Operand::id(F.Const5), Operand::id(F.EntryBlock),
+                                Operand::id(Carried),
+                                Operand::id(F.ElseBlock)}));
+  Else.Body.back() =
+      ModuleBuilder::makeBranchConditional(False, F.ElseBlock, F.MergeBlock);
+  ASSERT_TRUE(isValidModule(F.M));
+  Module M = F.M;
+  runOptPass(OptPassKind::Dce, M, BugHost());
+  const BasicBlock &After = *M.findFunction(F.MainId)->findBlock(F.ElseBlock);
+  ASSERT_EQ(After.Body[0].Opcode, Op::Phi);
+  EXPECT_EQ(After.Body[0].Result, Carried);
+  EXPECT_EQ(M.instructionCount(), F.M.instructionCount());
+  expectValidAndEquivalent(F.M, M, F.Input);
+}
+
+TEST(OptBehaviour, DceCompositeDeadOnlyAfterItsUserGoesDoesNotCrash) {
+  Fixture F;
+  Module M = F.M;
+  ModuleBuilder Builder(M);
+  Id Vec2 = Builder.getVectorType(F.IntType, 2);
+  BasicBlock &Merge = *M.findFunction(F.MainId)->findBlock(F.MergeBlock);
+  Id Composite = M.takeFreshId(), Extracted = M.takeFreshId();
+  // The construct's only user is an unused extract: the construct is
+  // dead only once the extract is gone, which the bug's check on the
+  // initial use counts must not see.
+  Merge.Body.insert(
+      Merge.Body.begin() + 1,
+      {Instruction(Op::CompositeConstruct, Vec2, Composite,
+                   {Operand::id(F.Const2), Operand::id(F.Const3)}),
+       Instruction(Op::CompositeExtract, F.IntType, Extracted,
+                   {Operand::id(Composite), Operand::literal(1)})});
+  ASSERT_TRUE(isValidModule(M));
+  Module Buggy = M;
+  EXPECT_EQ(runOptPass(OptPassKind::Dce, Buggy,
+                       BugHost({BugPoint::CrashUnusedComposite})),
+            std::nullopt);
+  // Both go, construct and extract, as with bugs disabled.
+  EXPECT_EQ(Buggy.instructionCount(), M.instructionCount() - 2);
+  Module Clean = M;
+  runOptPass(OptPassKind::Dce, Clean, BugHost());
+  EXPECT_EQ(hashModule(Clean), hashModule(Buggy));
+  expectValidAndEquivalent(M, Buggy, F.Input);
 }
 
 TEST(OptBehaviour, InlinerInlinesAndHonorsDontInline) {

@@ -121,9 +121,10 @@ TEST(Targets, OriginalsNeverTriggerInjectedBugs) {
       ASSERT_EQ(Run.RunOutcome, Outcome::Executed)
           << T.name() << " crashed on original seed " << Seed << ": "
           << Run.Signature;
-      if (T.canExecute())
+      if (T.canExecute()) {
         EXPECT_EQ(Run.Result, interpret(Program.M, Program.Input))
             << T.name() << " miscompiled original seed " << Seed;
+      }
     }
   }
 }

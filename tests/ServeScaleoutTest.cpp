@@ -114,11 +114,13 @@ RunOutput runSerial(const std::string &Dir, size_t Tests,
 /// worker processes). CollectMetrics stays off — in-process workers share
 /// the global registry with the coordinator, and shipping deltas would
 /// double-count; metric parity is the CLI smoke's job, where workers are
-/// real processes.
+/// real processes. With \p OneAfterAnother the workers run in order on a
+/// single thread, each starting once the previous one has exited.
 RunOutput runServe(const std::string &Dir, size_t Tests,
                    std::vector<WorkerOptions> Workers,
                    uint64_t LeaseTtlMs = 60000, bool Faulty = false,
-                   uint32_t QuarantineThreshold = 0) {
+                   uint32_t QuarantineThreshold = 0,
+                   bool OneAfterAnother = false) {
   ExecutionPolicy Policy = testPolicy(Dir);
   if (QuarantineThreshold)
     Policy.QuarantineThreshold = QuarantineThreshold;
@@ -163,16 +165,24 @@ RunOutput runServe(const std::string &Dir, size_t Tests,
   EXPECT_TRUE(Coordinator.start(WC, Error)) << Error;
   Engine.setShardProvider(&Coordinator);
 
-  std::vector<std::thread> Threads;
-  for (WorkerOptions WO : Workers) {
+  for (WorkerOptions &WO : Workers) {
     WO.StoreDir = Dir;
     WO.PollMs = 2;
-    Threads.emplace_back([WO] {
-      ShardWorker Worker(WO);
-      std::string WorkerError;
-      Worker.run(WorkerError);
-    });
   }
+  auto RunWorker = [](const WorkerOptions &WO) {
+    ShardWorker Worker(WO);
+    std::string WorkerError;
+    Worker.run(WorkerError);
+  };
+  std::vector<std::thread> Threads;
+  if (OneAfterAnother)
+    Threads.emplace_back([&Workers, RunWorker] {
+      for (const WorkerOptions &WO : Workers)
+        RunWorker(WO);
+    });
+  else
+    for (const WorkerOptions &WO : Workers)
+      Threads.emplace_back(RunWorker, WO);
 
   BugFindingConfig Config;
   Config.TestsPerTool = Tests;
@@ -270,14 +280,19 @@ TEST(ServeScaleout, TornResultFrameIsRetiredAndRecomputed) {
 
 // A worker killed mid-shard holds a lease it will never complete: the
 // coordinator expires it after the TTL, bumps the generation, and the
-// surviving worker recomputes — no shard lost, none double-counted.
+// surviving worker recomputes — no shard lost, none double-counted. The
+// surviving worker starts only once the dying one has exited holding its
+// lease; run side by side, the survivor could drain every shard before
+// the dying worker leased its second, and no lease would expire.
 TEST(ServeScaleout, AbandonedLeaseIsExpiredAndReLeased) {
   constexpr size_t Tests = 32;
   RunOutput Serial = runSerial(uniqueDir("ab-serial"), Tests);
   WorkerOptions Dying = workerOpts(1);
   Dying.AbandonAfterShards = 1;
   RunOutput Serve = runServe(uniqueDir("ab-serve"), Tests,
-                             {Dying, workerOpts(2)}, /*LeaseTtlMs=*/100);
+                             {Dying, workerOpts(2)}, /*LeaseTtlMs=*/100,
+                             /*Faulty=*/false, /*QuarantineThreshold=*/0,
+                             /*OneAfterAnother=*/true);
   EXPECT_GT(Serve.Expiries, 0u)
       << "the abandoned lease should have expired";
   expectIdentical(Serial, Serve, "abandoned lease");
