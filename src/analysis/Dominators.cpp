@@ -6,96 +6,106 @@
 
 #include "analysis/Dominators.h"
 
-#include <vector>
+#include <algorithm>
+#include <utility>
 
 using namespace spvfuzz;
 
-DominatorTree::DominatorTree(const Function &Func, const Cfg &Graph) {
+DominatorTree::DominatorTree(const Function &Func, const Cfg &Graph)
+    : Graph(&Graph) {
   (void)Func;
-  Entry = Graph.entryId();
   const std::vector<Id> &Rpo = Graph.reversePostorder();
+  const uint32_t Size = static_cast<uint32_t>(Rpo.size());
+  Nodes.resize(Size);
+  if (Size == 0)
+    return;
 
-  std::unordered_map<Id, size_t> RpoIndex;
-  RpoIndex.reserve(Rpo.size());
-  for (size_t I = 0, E = Rpo.size(); I != E; ++I)
-    RpoIndex[Rpo[I]] = I;
+  // Each position's reachable predecessors, as positions, in list order.
+  std::vector<uint32_t> PredBegin(Size + 1), PredPos;
+  for (uint32_t P = 0; P != Size; ++P) {
+    PredBegin[P] = static_cast<uint32_t>(PredPos.size());
+    for (Id Pred : Graph.predecessors(Rpo[P]))
+      if (uint32_t Q = Graph.rpoPosition(Pred); Q != Cfg::None)
+        PredPos.push_back(Q);
+  }
+  PredBegin[Size] = static_cast<uint32_t>(PredPos.size());
 
-  std::unordered_map<Id, Id> Idom;
-  Idom.reserve(Rpo.size());
-  auto Intersect = [&](Id A, Id B) {
+  // Cooper-Harvey-Kennedy. Position 0 is the entry; a smaller position is
+  // earlier in reverse postorder.
+  auto Intersect = [&](uint32_t A, uint32_t B) {
     while (A != B) {
-      while (RpoIndex[A] > RpoIndex[B])
-        A = Idom[A];
-      while (RpoIndex[B] > RpoIndex[A])
-        B = Idom[B];
+      while (A > B)
+        A = Nodes[A].Idom;
+      while (B > A)
+        B = Nodes[B].Idom;
     }
     return A;
   };
-
-  Idom[Entry] = Entry;
+  Nodes[0].Idom = 0;
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (Id Block : Rpo) {
-      if (Block == Entry)
-        continue;
-      Id NewIdom = InvalidId;
-      for (Id Pred : Graph.predecessors(Block)) {
-        if (!Graph.isReachable(Pred) || Idom.find(Pred) == Idom.end())
+    for (uint32_t P = 1; P != Size; ++P) {
+      uint32_t NewIdom = Cfg::None;
+      for (uint32_t I = PredBegin[P]; I != PredBegin[P + 1]; ++I) {
+        uint32_t Pred = PredPos[I];
+        if (Nodes[Pred].Idom == Cfg::None)
           continue;
-        NewIdom = NewIdom == InvalidId ? Pred : Intersect(NewIdom, Pred);
+        NewIdom = NewIdom == Cfg::None ? Pred : Intersect(NewIdom, Pred);
       }
-      if (NewIdom == InvalidId)
-        continue;
-      auto It = Idom.find(Block);
-      if (It == Idom.end() || It->second != NewIdom) {
-        Idom[Block] = NewIdom;
+      if (NewIdom != Cfg::None && Nodes[P].Idom != NewIdom) {
+        Nodes[P].Idom = NewIdom;
         Changed = true;
       }
     }
   }
   // The entry's idom is conventionally "none".
-  Idom[Entry] = InvalidId;
+  Nodes[0].Idom = Cfg::None;
 
   // Number the tree with DFS intervals so dominates() is two lookups
   // instead of a chain walk: A dominates B iff In[A] <= In[B] and
-  // Out[B] <= Out[A].
-  Nodes.reserve(Idom.size());
-  std::unordered_map<Id, std::vector<Id>> Children;
-  Children.reserve(Idom.size());
-  for (const auto &[Block, Parent] : Idom) {
-    Nodes[Block].Idom = Parent;
-    if (Parent != InvalidId)
-      Children[Parent].push_back(Block);
-  }
+  // Out[B] <= Out[A]. Every position is in the tree: a block's DFS parent
+  // precedes it in reverse postorder, so the first sweep gives it an idom.
+  // Children are packed like the Cfg's edge lists.
+  std::vector<uint32_t> ChildBegin(Size + 1, 0), Children;
+  for (uint32_t P = 1; P != Size; ++P)
+    if (Nodes[P].Idom != Cfg::None)
+      ++ChildBegin[Nodes[P].Idom + 1];
+  for (uint32_t P = 0; P != Size; ++P)
+    ChildBegin[P + 1] += ChildBegin[P];
+  Children.resize(ChildBegin[Size]);
+  for (uint32_t P = 1; P != Size; ++P)
+    if (Nodes[P].Idom != Cfg::None)
+      Children[ChildBegin[Nodes[P].Idom]++] = P;
+  std::copy_backward(ChildBegin.begin(), ChildBegin.end() - 1,
+                     ChildBegin.end());
+  ChildBegin[0] = 0;
+
   uint32_t Clock = 0;
   // Iterative DFS; the second visit of a frame assigns the exit time.
-  std::vector<std::pair<Id, bool>> Stack;
-  Stack.push_back({Entry, false});
+  std::vector<std::pair<uint32_t, bool>> Stack;
+  Stack.push_back({0, false});
   while (!Stack.empty()) {
-    auto [Block, Done] = Stack.back();
+    auto [P, Done] = Stack.back();
     Stack.pop_back();
-    Node &N = Nodes[Block];
     if (Done) {
-      N.Out = ++Clock;
+      Nodes[P].Out = ++Clock;
       continue;
     }
-    N.In = ++Clock;
-    Stack.push_back({Block, true});
-    auto It = Children.find(Block);
-    if (It != Children.end())
-      for (Id Child : It->second)
-        Stack.push_back({Child, false});
+    Nodes[P].In = ++Clock;
+    Stack.push_back({P, true});
+    for (uint32_t I = ChildBegin[P]; I != ChildBegin[P + 1]; ++I)
+      Stack.push_back({Children[I], false});
   }
 }
 
 bool DominatorTree::dominates(Id A, Id B) const {
   if (A == B)
     return true;
-  auto AIt = Nodes.find(A);
-  auto BIt = Nodes.find(B);
-  if (AIt == Nodes.end() || BIt == Nodes.end())
+  uint32_t PA = Graph->rpoPosition(A);
+  uint32_t PB = Graph->rpoPosition(B);
+  if (PA == Cfg::None || PB == Cfg::None)
     return false;
-  return AIt->second.In <= BIt->second.In &&
-         BIt->second.Out <= AIt->second.Out;
+  const Node &NA = Nodes[PA], &NB = Nodes[PB];
+  return NA.In <= NB.In && NB.Out <= NA.Out;
 }

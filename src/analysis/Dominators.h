@@ -6,14 +6,16 @@
 ///
 /// \file
 /// Dominator tree over a function's CFG, via the Cooper-Harvey-Kennedy
-/// iterative algorithm. Needed by the validator (MiniSPV inherits SPIR-V's
-/// rule that a block must precede the blocks it dominates and that uses
-/// must be dominated by definitions) and by several transformations
-/// (MoveBlockDown, PropagateInstructionUp).
+/// iterative algorithm run over reverse-postorder positions. Needed by the
+/// validator (MiniSPV inherits SPIR-V's rule that a block must precede the
+/// blocks it dominates and that uses must be dominated by definitions) and
+/// by several transformations (MoveBlockDown, PropagateInstructionUp).
 ///
-/// Dominance queries are answered in O(1) from a DFS interval numbering of
-/// the tree computed at construction time: A dominates B iff A's interval
-/// contains B's.
+/// Every table is a vector indexed by the block's position in
+/// Cfg::reversePostorder(), so an Id query is one Cfg slot lookup plus an
+/// index. Dominance queries are answered in O(1) from a DFS interval
+/// numbering of the tree computed at construction time: A dominates B iff
+/// A's interval contains B's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,13 +28,16 @@ namespace spvfuzz {
 
 class DominatorTree {
 public:
+  /// \p Graph must outlive the tree: queries find blocks through it.
   DominatorTree(const Function &Func, const Cfg &Graph);
 
   /// Returns the immediate dominator of \p Block, or InvalidId for the
   /// entry block and for unreachable blocks.
   Id immediateDominator(Id Block) const {
-    auto It = Nodes.find(Block);
-    return It == Nodes.end() ? InvalidId : It->second.Idom;
+    uint32_t Pos = Graph->rpoPosition(Block);
+    if (Pos == Cfg::None || Nodes[Pos].Idom == Cfg::None)
+      return InvalidId;
+    return Graph->reversePostorder()[Nodes[Pos].Idom];
   }
 
   /// True if \p A dominates \p B (reflexively). Unreachable blocks
@@ -44,13 +49,13 @@ public:
 
 private:
   struct Node {
-    Id Idom = InvalidId;
-    uint32_t In = 0; // DFS entry time in the dominator tree
-    uint32_t Out = 0; // DFS exit time
+    uint32_t Idom = Cfg::None; // an RPO position
+    uint32_t In = 0;           // DFS entry time in the tree
+    uint32_t Out = 0;          // DFS exit time
   };
 
-  Id Entry = InvalidId;
-  std::unordered_map<Id, Node> Nodes; // reachable blocks only
+  const Cfg *Graph;
+  std::vector<Node> Nodes; // indexed by RPO position
 };
 
 } // namespace spvfuzz

@@ -6,6 +6,8 @@
 
 #include "analysis/ModuleAnalysis.h"
 
+#include <cstdlib>
+
 using namespace spvfuzz;
 
 ModuleAnalysis::ModuleAnalysis(const Module &M) : M(&M) {
@@ -22,24 +24,22 @@ ModuleAnalysis::ModuleAnalysis(const Module &M) : M(&M) {
   for (const Instruction &Inst : M.GlobalInsts)
     Set(Inst.Result,
         DefInfo{DefInfo::Kind::Global, InvalidId, InvalidId, 0, &Inst});
-  FuncsById.reserve(M.Functions.size());
-  BlockSizes.reserve(M.Functions.size());
-  for (const Function &Func : M.Functions) {
-    FuncsById[Func.id()] = &Func;
+  Funcs.resize(M.Functions.size());
+  for (size_t F = 0; F != Funcs.size(); ++F) {
+    const Function &Func = M.Functions[F];
+    Funcs[F].Func = &Func;
     Set(Func.Def.Result,
         DefInfo{DefInfo::Kind::FunctionDef, Func.id(), InvalidId, 0,
                 &Func.Def});
     for (const Instruction &Param : Func.Params)
       Set(Param.Result,
           DefInfo{DefInfo::Kind::Param, Func.id(), InvalidId, 0, &Param});
-    std::unordered_map<Id, size_t> &FuncBlockSizes = BlockSizes[Func.id()];
-    FuncBlockSizes.reserve(Func.Blocks.size());
     for (const BasicBlock &Block : Func.Blocks) {
       Set(Block.LabelId,
-          DefInfo{DefInfo::Kind::Label, Func.id(), Block.LabelId, 0,
-                  nullptr});
-      FuncBlockSizes[Block.LabelId] = Block.Body.size();
-      for (size_t I = 0, E = Block.Body.size(); I != E; ++I) {
+          DefInfo{DefInfo::Kind::Label, Func.id(), Block.LabelId,
+                  static_cast<uint32_t>(Block.Body.size()), nullptr});
+      for (uint32_t I = 0, E = static_cast<uint32_t>(Block.Body.size());
+           I != E; ++I) {
         const Instruction &Inst = Block.Body[I];
         if (Inst.Result != InvalidId)
           Set(Inst.Result, DefInfo{DefInfo::Kind::Body, Func.id(),
@@ -100,34 +100,33 @@ bool ModuleAnalysis::idAvailableBefore(Id ValueId, Id FuncId, Id BlockId,
 }
 
 bool ModuleAnalysis::idAvailableAtEnd(Id ValueId, Id FuncId, Id BlockId) const {
-  auto FuncIt = BlockSizes.find(FuncId);
-  if (FuncIt == BlockSizes.end())
+  const DefInfo *Label = defInfo(BlockId);
+  if (!Label || Label->DefKind != DefInfo::Kind::Label ||
+      Label->FuncId != FuncId)
     return false;
-  auto BlockIt = FuncIt->second.find(BlockId);
-  if (BlockIt == FuncIt->second.end())
-    return false;
-  return idAvailableBefore(ValueId, FuncId, BlockId, BlockIt->second);
+  return idAvailableBefore(ValueId, FuncId, BlockId, Label->Index);
+}
+
+ModuleAnalysis::FuncAnalyses &ModuleAnalysis::funcAnalyses(Id FuncId) const {
+  // Searched from the back, so a repeated function id resolves to its
+  // last definition, as the def table does.
+  for (size_t F = Funcs.size(); F-- != 0;)
+    if (Funcs[F].Func->id() == FuncId)
+      return Funcs[F];
+  assert(false && "unknown function");
+  std::abort();
 }
 
 const Cfg &ModuleAnalysis::cfg(Id FuncId) const {
-  auto It = Cfgs.find(FuncId);
-  if (It == Cfgs.end()) {
-    auto FuncIt = FuncsById.find(FuncId);
-    assert(FuncIt != FuncsById.end() && "unknown function");
-    It = Cfgs.emplace(FuncId, std::make_unique<Cfg>(*FuncIt->second)).first;
-  }
-  return *It->second;
+  FuncAnalyses &Slot = funcAnalyses(FuncId);
+  if (!Slot.Graph)
+    Slot.Graph.emplace(*Slot.Func);
+  return *Slot.Graph;
 }
 
 const DominatorTree &ModuleAnalysis::domTree(Id FuncId) const {
-  auto It = DomTrees.find(FuncId);
-  if (It == DomTrees.end()) {
-    auto FuncIt = FuncsById.find(FuncId);
-    assert(FuncIt != FuncsById.end() && "unknown function");
-    It = DomTrees
-             .emplace(FuncId, std::make_unique<DominatorTree>(*FuncIt->second,
-                                                              cfg(FuncId)))
-             .first;
-  }
-  return *It->second;
+  FuncAnalyses &Slot = funcAnalyses(FuncId);
+  if (!Slot.Dom)
+    Slot.Dom.emplace(*Slot.Func, cfg(FuncId));
+  return *Slot.Dom;
 }

@@ -12,9 +12,12 @@
 /// rule. Invalidated by any module mutation; rebuild after transforming.
 ///
 /// An analysis is constructed once per transformation attempt on both the
-/// fuzzing and replay hot paths, so construction builds only the def-site
-/// index eagerly; use counts, CFGs and dominator trees are computed
-/// on first query (most precondition checks never ask for them). The lazy
+/// fuzzing and replay hot paths, so it keeps no hash containers and
+/// construction builds only flat tables: the def-site table indexed by id
+/// (a label's slot also records its block's size, the idAvailableAtEnd
+/// position) and a vector of the module's functions. Use counts, CFGs and
+/// dominator trees are computed on first query (most precondition checks
+/// never ask for them), from the module as it is at that moment. The lazy
 /// state makes a ModuleAnalysis instance single-threaded: construct one
 /// per thread, never share.
 ///
@@ -26,20 +29,26 @@
 #include "analysis/Cfg.h"
 #include "analysis/Dominators.h"
 
-#include <memory>
+#include <optional>
 
 namespace spvfuzz {
 
 class ModuleAnalysis {
 public:
   explicit ModuleAnalysis(const Module &M);
+  // Each function's dominator tree points at the Cfg stored beside it.
+  ModuleAnalysis(const ModuleAnalysis &) = delete;
+  ModuleAnalysis &operator=(const ModuleAnalysis &) = delete;
 
+  /// 24 bytes: the table is refilled for every id on every construction.
   struct DefInfo {
-    enum class Kind { None, Global, FunctionDef, Param, Body, Label };
+    enum class Kind : uint8_t { None, Global, FunctionDef, Param, Body, Label };
     Kind DefKind = Kind::None;
     Id FuncId = InvalidId;  // for Param/Body/Label/FunctionDef
     Id BlockId = InvalidId; // for Body/Label
-    size_t Index = 0;       // for Body: index into the block
+    /// For Body: index into the block. For Label: the block's body size
+    /// when the analysis was built.
+    uint32_t Index = 0;
     /// The defining instruction; nullptr for labels (which, as in
     /// Module::findDef, have no instruction). Valid while the analysed
     /// module is unchanged.
@@ -84,15 +93,21 @@ public:
   const DominatorTree &domTree(Id FuncId) const;
 
 private:
+  /// One function's lazily built analyses. Slots never move once the
+  /// analysis is constructed, so a DominatorTree may point at its Cfg.
+  struct FuncAnalyses {
+    const Function *Func = nullptr;
+    std::optional<Cfg> Graph;
+    std::optional<DominatorTree> Dom;
+  };
+  FuncAnalyses &funcAnalyses(Id FuncId) const;
+
   const Module *M = nullptr;
   std::vector<DefInfo> Defs; // indexed by id, sized to the module bound
-  std::unordered_map<Id, const Function *> FuncsById;
-  std::unordered_map<Id, std::unordered_map<Id, size_t>> BlockSizes;
   // Lazily materialized query state (see file comment: single-threaded).
+  mutable std::vector<FuncAnalyses> Funcs; // in module order
   mutable bool UsesBuilt = false;
   mutable std::vector<size_t> Uses; // indexed by id
-  mutable std::unordered_map<Id, std::unique_ptr<Cfg>> Cfgs;
-  mutable std::unordered_map<Id, std::unique_ptr<DominatorTree>> DomTrees;
 };
 
 } // namespace spvfuzz

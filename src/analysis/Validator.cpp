@@ -9,6 +9,7 @@
 #include "analysis/ModuleAnalysis.h"
 #include "ir/Text.h"
 
+#include <memory>
 #include <sstream>
 #include <unordered_set>
 
@@ -572,7 +573,7 @@ private:
       }
       if (!Graph.isReachable(Block.LabelId))
         break;
-      std::vector<Id> Preds = Graph.predecessors(Block.LabelId);
+      std::span<const Id> Preds = Graph.predecessors(Block.LabelId);
       std::unordered_set<Id> PredSet(Preds.begin(), Preds.end());
       std::unordered_set<Id> SeenPreds;
       for (size_t I = 0; I < Inst.Operands.size(); I += 2) {

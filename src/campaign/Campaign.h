@@ -18,6 +18,7 @@
 #include "core/Fuzzer.h"
 #include "core/Reducer.h"
 #include "gen/Generator.h"
+#include "support/ModuleHash.h"
 #include "support/Telemetry.h"
 #include "support/Trace.h"
 #include "target/Target.h"
@@ -146,6 +147,10 @@ std::vector<ShaderInput> uniformInputMatrix(const ShaderInput &Base,
 /// is identical to the single-input path, applied in input order; the
 /// first input producing a verdict (tool error or interesting signature,
 /// then first differential mismatch) decides the target's entry.
+///
+/// The variant is hashed once per test and the reference at most once,
+/// and every target call reuses those hashes (TargetT's run and runBatch
+/// take the module hash as an optional last argument).
 template <typename TargetT>
 TestEvaluation evaluateTestOn(const Corpus &C, const ToolConfig &Tool,
                               const std::vector<const TargetT *> &Targets,
@@ -158,11 +163,19 @@ TestEvaluation evaluateTestOn(const Corpus &C, const ToolConfig &Tool,
   FuzzResult Fuzzed =
       regenerateTest(C, Tool, CampaignSeed, TestIndex, Eval.ReferenceIndex);
   const GeneratedProgram &Reference = C.References[Eval.ReferenceIndex];
+  const uint64_t VariantHash = hashModule(Fuzzed.Variant);
+  std::optional<uint64_t> ReferenceHash; // hashed on first differential use
+  auto referenceHash = [&] {
+    if (!ReferenceHash)
+      ReferenceHash = hashModule(Reference.M);
+    return *ReferenceHash;
+  };
 
   if (UniformInputs <= 1) {
     for (const TargetT *TP : Targets) {
       const TargetT &T = *TP;
-      TargetRun VariantRun = T.run(Fuzzed.Variant, Reference.Input);
+      TargetRun VariantRun =
+          T.run(Fuzzed.Variant, Reference.Input, VariantHash);
       if (VariantRun.RunOutcome == Outcome::ToolError) {
         Eval.ToolErrored.push_back(T.name());
         continue;
@@ -176,7 +189,8 @@ TestEvaluation evaluateTestOn(const Corpus &C, const ToolConfig &Tool,
       // Differential check (Theorem 2.6): the variant's result through the
       // implementation must match the original's result through the same
       // implementation.
-      TargetRun OriginalRun = T.run(Reference.M, Reference.Input);
+      TargetRun OriginalRun =
+          T.run(Reference.M, Reference.Input, referenceHash());
       if (!OriginalRun.executed())
         continue; // the target cannot even handle the original; skip
       if (VariantRun.Result != OriginalRun.Result)
@@ -187,7 +201,8 @@ TestEvaluation evaluateTestOn(const Corpus &C, const ToolConfig &Tool,
         uniformInputMatrix(Reference.Input, UniformInputs, MatrixSeed);
     for (const TargetT *TP : Targets) {
       const TargetT &T = *TP;
-      std::vector<TargetRun> VariantRuns = T.runBatch(Fuzzed.Variant, Matrix);
+      std::vector<TargetRun> VariantRuns =
+          T.runBatch(Fuzzed.Variant, Matrix, VariantHash);
       bool Decided = false;
       for (const TargetRun &R : VariantRuns) {
         if (R.RunOutcome == Outcome::ToolError) {
@@ -203,7 +218,8 @@ TestEvaluation evaluateTestOn(const Corpus &C, const ToolConfig &Tool,
       }
       if (Decided || CrashesOnly || !T.canExecute())
         continue;
-      std::vector<TargetRun> OriginalRuns = T.runBatch(Reference.M, Matrix);
+      std::vector<TargetRun> OriginalRuns =
+          T.runBatch(Reference.M, Matrix, referenceHash());
       for (size_t K = 0; K < Matrix.size(); ++K) {
         if (!VariantRuns[K].executed() || !OriginalRuns[K].executed())
           continue;

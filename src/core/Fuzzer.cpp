@@ -717,7 +717,7 @@ private:
       for (const BasicBlock &Block : Func.Blocks) {
         if (!takeOpportunity())
           continue;
-        const std::vector<Id> &Preds = Graph.predecessors(Block.LabelId);
+        std::span<const Id> Preds = Graph.predecessors(Block.LabelId);
         if (Preds.empty())
           continue;
         std::vector<uint32_t> PredFreshPairs;

@@ -517,7 +517,7 @@ bool TransformationAddSynonymViaPhi::isApplicable(
   const Cfg &Graph = Analysis.cfg(Func->id());
   if (!Graph.isReachable(BlockId))
     return false;
-  const std::vector<Id> &Preds = Graph.predecessors(BlockId);
+  std::span<const Id> Preds = Graph.predecessors(BlockId);
   if (Preds.empty())
     return false;
   if (M.typeOfId(Source) == InvalidId || Facts.idIsIrrelevant(Source))
@@ -539,7 +539,7 @@ void TransformationAddSynonymViaPhi::apply(Module &M,
   auto [Func, Block] = M.findBlockDef(BlockId);
   assert(Block && "precondition violated");
   ModuleAnalysis Analysis(M);
-  const std::vector<Id> &Preds = Analysis.cfg(Func->id()).predecessors(BlockId);
+  std::span<const Id> Preds = Analysis.cfg(Func->id()).predecessors(BlockId);
   std::vector<Operand> PhiOps;
   std::unordered_set<Id> Seen;
   for (Id Pred : Preds) {

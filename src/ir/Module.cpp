@@ -23,17 +23,9 @@ size_t BasicBlock::firstInsertionIndex() const {
 }
 
 std::vector<Id> BasicBlock::successors() const {
-  if (!hasTerminator())
-    return {};
-  const Instruction &Term = terminator();
-  switch (Term.Opcode) {
-  case Op::Branch:
-    return {Term.idOperand(0)};
-  case Op::BranchConditional:
-    return {Term.idOperand(1), Term.idOperand(2)};
-  default:
-    return {};
-  }
+  std::vector<Id> Succs;
+  forEachSuccessor([&](Id Succ) { Succs.push_back(Succ); });
+  return Succs;
 }
 
 void BasicBlock::replaceSuccessor(Id From, Id To) {

@@ -58,6 +58,21 @@ struct BasicBlock {
   /// Return/ReturnValue/Kill).
   std::vector<Id> successors() const;
 
+  /// Calls \p Visit with each successor label, in the order successors()
+  /// lists them (an equal-target conditional names its target twice),
+  /// without building a vector.
+  template <typename Fn> void forEachSuccessor(Fn &&Visit) const {
+    if (!hasTerminator())
+      return;
+    const Instruction &Term = Body.back();
+    if (Term.Opcode == Op::Branch) {
+      Visit(Term.idOperand(0));
+    } else if (Term.Opcode == Op::BranchConditional) {
+      Visit(Term.idOperand(1));
+      Visit(Term.idOperand(2));
+    }
+  }
+
   /// Replaces successor label \p From with \p To in the terminator.
   void replaceSuccessor(Id From, Id To);
 };

@@ -217,20 +217,43 @@ void removePhiEntriesOf(BasicBlock &Block, Id Pred) {
 /// predecessor disappeared. Returns true if anything changed.
 bool removeUnreachableBlocks(Function &Func) {
   Cfg Graph(Func);
-  std::vector<Id> Removed;
+  // The removed labels, marked in a flat table over their id range.
+  Id Lo = ~Id(0), Hi = 0;
+  for (const BasicBlock &Block : Func.Blocks)
+    if (!Graph.isReachable(Block.LabelId)) {
+      Lo = std::min(Lo, Block.LabelId);
+      Hi = std::max(Hi, Block.LabelId);
+    }
+  if (Lo > Hi)
+    return false;
+  std::vector<bool> Removed(size_t(Hi - Lo) + 1);
   for (const BasicBlock &Block : Func.Blocks)
     if (!Graph.isReachable(Block.LabelId))
-      Removed.push_back(Block.LabelId);
-  if (Removed.empty())
-    return false;
+      Removed[Block.LabelId - Lo] = true;
+  auto IsRemoved = [&](Id Label) {
+    Id Slot = Label - Lo; // wraps for ids below Lo
+    return Slot < Removed.size() && Removed[Slot];
+  };
   Func.Blocks.erase(std::remove_if(Func.Blocks.begin(), Func.Blocks.end(),
                                    [&](const BasicBlock &Block) {
-                                     return !Graph.isReachable(Block.LabelId);
+                                     return IsRemoved(Block.LabelId);
                                    }),
                     Func.Blocks.end());
+  // One pass over each phi keeps the surviving (value, pred) pairs in
+  // order (an odd trailing operand goes, as in removePhiEntriesOf).
   for (BasicBlock &Block : Func.Blocks)
-    for (Id Gone : Removed)
-      removePhiEntriesOf(Block, Gone);
+    for (Instruction &Inst : Block.Body) {
+      if (Inst.Opcode != Op::Phi)
+        break;
+      size_t Kept = 0;
+      for (size_t I = 0; I + 1 < Inst.Operands.size(); I += 2) {
+        if (IsRemoved(Inst.Operands[I + 1].asId()))
+          continue;
+        Inst.Operands[Kept++] = Inst.Operands[I];
+        Inst.Operands[Kept++] = Inst.Operands[I + 1];
+      }
+      Inst.Operands.resize(Kept);
+    }
   return true;
 }
 

@@ -15,6 +15,8 @@
 #include "exec/Value.h"
 #include "ir/Module.h"
 
+#include <cassert>
+
 using namespace spvfuzz;
 
 namespace {
@@ -61,6 +63,13 @@ uint64_t spvfuzz::hashModule(const Module &M) {
     }
   }
   return H.digest();
+}
+
+uint64_t spvfuzz::hashModuleOr(const Module &M,
+                               std::optional<uint64_t> Known) {
+  assert((!Known || *Known == hashModule(M)) &&
+         "supplied module hash does not match the module");
+  return Known ? *Known : hashModule(M);
 }
 
 uint64_t spvfuzz::hashShaderInput(const ShaderInput &Input) {

@@ -27,6 +27,7 @@
 #define SUPPORT_MODULEHASH_H
 
 #include <cstdint>
+#include <optional>
 
 namespace spvfuzz {
 
@@ -60,6 +61,12 @@ private:
 /// declarations, functions (definition, parameters, labels, bodies) and
 /// the entry point. Excludes Module::Bound.
 uint64_t hashModule(const Module &M);
+
+/// \p Known when the caller already holds the module's hash, else
+/// hashModule(M): lets one hash per evaluation travel down the target
+/// layers. A supplied hash must equal hashModule(M); Debug builds assert
+/// it.
+uint64_t hashModuleOr(const Module &M, std::optional<uint64_t> Known);
 
 /// Structural hash of a shader input (bindings in key order).
 uint64_t hashShaderInput(const ShaderInput &Input);

@@ -116,12 +116,13 @@ TargetRun CachedTarget::run(const Module &M, const ShaderInput &Input) const {
       Metrics.add("evalcache.flaky_consults");
     return Inner->run(M, Input);
   }
-  uint64_t AId = Inner->artifactId(hashModule(M));
+  uint64_t MHash = hashModule(M);
+  uint64_t AId = Inner->artifactId(MHash);
   uint64_t IHash = hashShaderInput(Input);
   TargetRun Cached;
   if (Cache->lookup(AId, IHash, Cached))
     return Cached;
-  TargetRun Fresh = Inner->run(M, Input);
+  TargetRun Fresh = Inner->run(M, Input, MHash);
   Cache->insert(AId, IHash, Fresh);
   return Fresh;
 }

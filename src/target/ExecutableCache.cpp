@@ -40,7 +40,7 @@ ExecutableCache::getOrCompile(const Target &T, const Module &M,
   // Compile outside the lock: pipelines are the expensive part and the
   // artifact is deterministic, so a racing duplicate compile is wasted
   // work, not wrong results.
-  std::shared_ptr<const TargetArtifact> Art = T.compile(M, Engine);
+  std::shared_ptr<const TargetArtifact> Art = T.compile(M, Engine, ModuleHash);
 
   const size_t Bytes = Art->approxBytes();
   if (Bytes > BudgetBytes)

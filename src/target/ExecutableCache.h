@@ -51,8 +51,8 @@ public:
   /// \p ModuleHash) on \p T for \p Engine — cached, or compiled and
   /// cached. \p T must be deterministic (the caller's responsibility: a
   /// flaky target's artifact depends on the attempt draw and must not be
-  /// frozen). A hit replays compile metrics; a miss compiles and bumps
-  /// them for real.
+  /// frozen). A hit replays compile metrics; a miss compiles (with
+  /// \p ModuleHash, not a fresh hash of \p M) and bumps them for real.
   std::shared_ptr<const TargetArtifact>
   getOrCompile(const Target &T, const Module &M, ExecEngine Engine,
                uint64_t ModuleHash);

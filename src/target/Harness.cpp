@@ -14,8 +14,8 @@
 
 using namespace spvfuzz;
 
-TargetRun HarnessedTarget::run(const Module &M,
-                               const ShaderInput &Input) const {
+TargetRun HarnessedTarget::run(const Module &M, const ShaderInput &Input,
+                               std::optional<uint64_t> ModuleHash) const {
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
 
   telemetry::TraceSpan RunSpan("target.run");
@@ -30,10 +30,12 @@ TargetRun HarnessedTarget::run(const Module &M,
     Ctx.StepBudget = Policy.TargetDeadlineSteps;
     Ctx.Engine = Policy.Engine;
     Ctx.ExeCache = ExeC;
+    Ctx.ModuleHash = ModuleHash;
     if (!Cache) {
       Final = Inner->run(M, Input, Ctx);
     } else {
-      const uint64_t AId = Inner->artifactId(hashModule(M));
+      Ctx.ModuleHash = hashModuleOr(M, ModuleHash);
+      const uint64_t AId = Inner->artifactId(*Ctx.ModuleHash);
       const uint64_t IHash = hashShaderInput(Input);
       if (!Cache->lookup(AId, IHash, Final)) {
         Final = Inner->run(M, Input, Ctx);
@@ -41,7 +43,7 @@ TargetRun HarnessedTarget::run(const Module &M,
       }
     }
   } else {
-    Final = votedRun(M, Input);
+    Final = votedRun(M, Input, hashModuleOr(M, ModuleHash));
   }
 
   if (Metrics.enabled() && Final.RunOutcome == Outcome::Timeout)
@@ -52,8 +54,8 @@ TargetRun HarnessedTarget::run(const Module &M,
 }
 
 std::vector<TargetRun>
-HarnessedTarget::runBatch(const Module &M,
-                          std::span<const ShaderInput> Inputs) const {
+HarnessedTarget::runBatch(const Module &M, std::span<const ShaderInput> Inputs,
+                          std::optional<uint64_t> ModuleHash) const {
   std::vector<TargetRun> Runs;
   if (Inputs.empty())
     return Runs;
@@ -61,9 +63,10 @@ HarnessedTarget::runBatch(const Module &M,
   // and the retry vote are both per (module, input). The artifact cache
   // (when wired) still amortizes the compile across the loop.
   if (!deterministic() || Cache) {
+    const uint64_t MHash = hashModuleOr(M, ModuleHash);
     Runs.reserve(Inputs.size());
     for (const ShaderInput &Input : Inputs)
-      Runs.push_back(run(M, Input));
+      Runs.push_back(run(M, Input, MHash));
     return Runs;
   }
 
@@ -79,6 +82,7 @@ HarnessedTarget::runBatch(const Module &M,
   Ctx.StepBudget = Policy.TargetDeadlineSteps;
   Ctx.Engine = Policy.Engine;
   Ctx.ExeCache = ExeC;
+  Ctx.ModuleHash = ModuleHash;
   Runs = Inner->runBatch(M, Inputs, Ctx);
   if (Metrics.enabled())
     for (const TargetRun &R : Runs)
@@ -87,8 +91,8 @@ HarnessedTarget::runBatch(const Module &M,
   return Runs;
 }
 
-TargetRun HarnessedTarget::votedRun(const Module &M,
-                                    const ShaderInput &Input) const {
+TargetRun HarnessedTarget::votedRun(const Module &M, const ShaderInput &Input,
+                                    uint64_t ModuleHash) const {
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
 
   const uint32_t Attempts = std::max(1u, Policy.FlakyRetries);
@@ -116,6 +120,7 @@ TargetRun HarnessedTarget::votedRun(const Module &M,
     Ctx.StepBudget = Policy.TargetDeadlineSteps;
     Ctx.Engine = Policy.Engine;
     Ctx.ExeCache = ExeC;
+    Ctx.ModuleHash = ModuleHash;
     TargetRun R = Inner->run(M, Input, Ctx);
     ++Used;
     if (R.RunOutcome == Outcome::ToolError) {

@@ -83,17 +83,23 @@ public:
   /// deterministic targets; majority vote over FlakyRetries attempts for
   /// nondeterministic ones. A ToolError verdict means the attempts were
   /// dominated by hard toolchain failures (circuit-breaker material).
-  TargetRun run(const Module &M, const ShaderInput &Input) const;
+  /// \p ModuleHash, if given, is hashModule(M): the memo key and every
+  /// attempt reuse it instead of rehashing.
+  TargetRun run(const Module &M, const ShaderInput &Input,
+                std::optional<uint64_t> ModuleHash = std::nullopt) const;
 
   /// The whole uniform-input matrix in one harnessed attempt: element i
   /// equals run(M, Inputs[i]). Deterministic unmemoized targets compile
   /// once and execute the artifact per input (Target::runBatch); memoized
-  /// and flaky targets fall back to per-input run().
-  std::vector<TargetRun> runBatch(const Module &M,
-                                  std::span<const ShaderInput> Inputs) const;
+  /// and flaky targets fall back to per-input run(). \p ModuleHash as for
+  /// run().
+  std::vector<TargetRun>
+  runBatch(const Module &M, std::span<const ShaderInput> Inputs,
+           std::optional<uint64_t> ModuleHash = std::nullopt) const;
 
 private:
-  TargetRun votedRun(const Module &M, const ShaderInput &Input) const;
+  TargetRun votedRun(const Module &M, const ShaderInput &Input,
+                     uint64_t ModuleHash) const;
 
   const Target *Inner;
   HarnessPolicy Policy;

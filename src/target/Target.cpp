@@ -155,8 +155,9 @@ Target::compileWith(const Module &M, const BugHost &Bugs, ExecEngine Engine,
 }
 
 std::shared_ptr<const TargetArtifact>
-Target::compile(const Module &M, ExecEngine Engine) const {
-  return compileWith(M, Spec.Bugs, Engine, hashModule(M));
+Target::compile(const Module &M, ExecEngine Engine,
+                std::optional<uint64_t> ModuleHash) const {
+  return compileWith(M, Spec.Bugs, Engine, hashModuleOr(M, ModuleHash));
 }
 
 void Target::replayCompileMetrics(const TargetArtifact &Art) const {
@@ -173,8 +174,11 @@ void Target::replayCompileMetrics(const TargetArtifact &Art) const {
     Metrics.add("target.crashes." + Spec.Name);
 }
 
-TargetRun Target::run(const Module &M, const ShaderInput &Input) const {
-  return run(M, Input, RunContext());
+TargetRun Target::run(const Module &M, const ShaderInput &Input,
+                      std::optional<uint64_t> ModuleHash) const {
+  RunContext Ctx;
+  Ctx.ModuleHash = ModuleHash;
+  return run(M, Input, Ctx);
 }
 
 TargetRun Target::run(const Module &M, const ShaderInput &Input,
@@ -191,12 +195,13 @@ Target::runBatch(const Module &M, std::span<const ShaderInput> Inputs,
   if (Inputs.empty())
     return Runs;
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
+  const uint64_t MHash = hashModuleOr(M, Ctx.ModuleHash);
 
   // Infrastructure faults fire before the compiler even starts; the draw
   // does not depend on the input, so one covers the whole batch (one
   // toolchain invocation, one failure).
   if (Spec.Faults.ToolErrorRate > 0.0 &&
-      toolErrorFires(Ctx.CampaignSeed, hashModule(M), Spec.Name, Ctx.Attempt,
+      toolErrorFires(Ctx.CampaignSeed, MHash, Spec.Name, Ctx.Attempt,
                      Spec.Faults.ToolErrorRate)) {
     TargetRun Run;
     Run.RunOutcome = Outcome::ToolError;
@@ -212,7 +217,6 @@ Target::runBatch(const Module &M, std::span<const ShaderInput> Inputs,
   // module), compiled fresh under this attempt's resolved bug host
   // otherwise — a non-firing flaky bug is simply absent from the compiler
   // this time around.
-  const uint64_t MHash = hashModule(M);
   std::shared_ptr<const TargetArtifact> Art;
   if (!Spec.Bugs.hasNondeterministic()) {
     if (Ctx.ExeCache && Spec.deterministic())

@@ -30,6 +30,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -94,6 +95,11 @@ struct RunContext {
   /// produce byte-identical ExecResults (exec/Executable.h's contract);
   /// the knob exists for the differential gate and for benchmarks.
   ExecEngine Engine = ExecEngine::Lowered;
+  /// hashModule of the module being run, when the caller already holds
+  /// it (an internal shortcut, not a policy knob): runBatch and the
+  /// ExecutableCache miss path then skip rehashing. It must equal
+  /// hashModule(M); Debug builds assert it.
+  std::optional<uint64_t> ModuleHash;
   /// Optional shared artifact cache. Only consulted for deterministic
   /// targets (a flaky bug resolution changes the compiled artifact, so
   /// those always compile fresh); hits replay compile-side counters so
@@ -213,8 +219,10 @@ public:
   /// bug host (the deterministic, attempt-0 view): runs the pipeline,
   /// records the pass trail, and — when the target executes and the
   /// pipeline did not crash — lowers the optimized module for \p Engine.
-  std::shared_ptr<const TargetArtifact> compile(const Module &M,
-                                                ExecEngine Engine) const;
+  /// \p ModuleHash, if given, is hashModule(M) and is not recomputed.
+  std::shared_ptr<const TargetArtifact>
+  compile(const Module &M, ExecEngine Engine,
+          std::optional<uint64_t> ModuleHash = std::nullopt) const;
 
   /// Dense identity of (this target, source module hash). Stable across
   /// processes; keys artifact and evaluation caches.
@@ -227,9 +235,11 @@ public:
   void replayCompileMetrics(const TargetArtifact &Art) const;
 
   /// Compiles \p M and, if this target can execute, runs the optimized
-  /// module on \p Input. Equivalent to run(M, Input, RunContext{}): no
-  /// step budget, attempt 0 — on the solid fleet this is the full story.
-  TargetRun run(const Module &M, const ShaderInput &Input) const;
+  /// module on \p Input. Equivalent to run(M, Input, RunContext{}) with
+  /// RunContext::ModuleHash set to \p ModuleHash: no step budget,
+  /// attempt 0 — on the solid fleet this is the full story.
+  TargetRun run(const Module &M, const ShaderInput &Input,
+                std::optional<uint64_t> ModuleHash = std::nullopt) const;
 
   /// One attempt under a fault context: resolves flaky draws for
   /// \p Ctx.Attempt, maps hang-flavored crashes and budget exhaustion to
@@ -249,10 +259,14 @@ public:
                                   std::span<const ShaderInput> Inputs,
                                   const RunContext &Ctx) const;
 
-  /// Convenience: runBatch under a default context (no budget, attempt 0).
-  std::vector<TargetRun> runBatch(const Module &M,
-                                  std::span<const ShaderInput> Inputs) const {
-    return runBatch(M, Inputs, RunContext());
+  /// Convenience: runBatch under a default context (no budget, attempt 0)
+  /// carrying \p ModuleHash.
+  std::vector<TargetRun>
+  runBatch(const Module &M, std::span<const ShaderInput> Inputs,
+           std::optional<uint64_t> ModuleHash = std::nullopt) const {
+    RunContext Ctx;
+    Ctx.ModuleHash = ModuleHash;
+    return runBatch(M, Inputs, Ctx);
   }
 
 private:

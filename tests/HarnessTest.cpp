@@ -9,10 +9,12 @@
 /// boundary, fault draws are pure functions of (seed, module, attempt),
 /// harnessed runs are pure in (module, input) even on flaky targets, the
 /// default policy is behaviour-identical to the unharnessed fleet, and the
-/// quarantine breaker engages, holds and clears deterministically.
+/// quarantine breaker engages, holds and clears deterministically. A
+/// module hash supplied by the caller changes no run and no counter.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/Fuzzer.h"
 #include "gen/Generator.h"
 #include "support/ModuleHash.h"
 #include "support/Telemetry.h"
@@ -273,5 +275,142 @@ TEST(Harness, FlakyTargetsNeverTouchTheEvalCache) {
   EXPECT_EQ(Cache.hitCount(), 1u);
   EXPECT_EQ(Cache.missCount(), 1u);
 }
+
+//===----------------------------------------------------------------------===//
+// Supplied module hashes
+//===----------------------------------------------------------------------===//
+
+/// What one arm of a run observes: the runs plus every registry counter.
+struct Observed {
+  std::vector<TargetRun> Runs;
+  std::map<std::string, uint64_t> Counters;
+};
+
+template <typename Fn> Observed observe(Fn &&Body) {
+  using telemetry::MetricsRegistry;
+  MetricsRegistry::global().setEnabled(true);
+  MetricsRegistry::global().reset();
+  Observed O;
+  O.Runs = Body();
+  O.Counters = MetricsRegistry::global().snapshot().Counters;
+  MetricsRegistry::global().reset();
+  MetricsRegistry::global().setEnabled(false);
+  return O;
+}
+
+void expectSameObservations(const Observed &Plain, const Observed &Hashed,
+                            const std::string &Where) {
+  ASSERT_EQ(Plain.Runs.size(), Hashed.Runs.size()) << Where;
+  for (size_t I = 0; I < Plain.Runs.size(); ++I) {
+    EXPECT_EQ(Plain.Runs[I].RunOutcome, Hashed.Runs[I].RunOutcome) << Where;
+    EXPECT_EQ(Plain.Runs[I].Signature, Hashed.Runs[I].Signature) << Where;
+    EXPECT_TRUE(Plain.Runs[I].Result == Hashed.Runs[I].Result) << Where;
+  }
+  EXPECT_EQ(Plain.Counters, Hashed.Counters) << Where;
+}
+
+/// The fixture, its DontInline twin (which fires SwiftShader-old's flaky
+/// bug) and a few fuzzed variants, so crashes, timeouts, tool errors and
+/// clean executions all occur.
+std::vector<Module> hashSubjects() {
+  Fixture F;
+  std::vector<Module> Subjects = {F.M, F.M};
+  Subjects[1].findFunction(F.HelperId)->setControlMask(FC_DontInline);
+  std::vector<GeneratedProgram> Donors = generateCorpus(2, 77);
+  std::vector<const Module *> DonorModules = {&Donors[0].M, &Donors[1].M};
+  FuzzerOptions Options;
+  Options.TransformationLimit = 150;
+  for (uint64_t Seed = 0; Seed < 6; ++Seed) {
+    GeneratedProgram Program = generateProgram(Seed);
+    Subjects.push_back(
+        fuzz(Program.M, Program.Input, DonorModules, Seed, Options).Variant);
+  }
+  return Subjects;
+}
+
+TEST(Harness, SuppliedModuleHashChangesNoRunAndNoCounter) {
+  TargetFleet Fleet = TargetFleet::faulty();
+  Fixture F;
+  std::vector<ShaderInput> Inputs(2, F.Input);
+  Inputs[1].Bindings[0] = Value::makeInt(1);
+  HarnessPolicy Policy;
+  Policy.CampaignSeed = 2021;
+
+  size_t Interesting = 0, ToolErrors = 0;
+  for (const Module &M : hashSubjects()) {
+    const uint64_t Hash = hashModule(M);
+    for (const char *Name :
+         {"SwiftShader", "spirv-opt", "SwiftShader-old", "Pixel-3"}) {
+      const Target *T = fleetTarget(Fleet, Name);
+      std::string Where = std::string(Name) + " on module " +
+                          std::to_string(Hash);
+
+      // Target::runBatch, with and without an artifact cache.
+      for (bool WithExeCache : {false, true}) {
+        auto Raw = [&](std::optional<uint64_t> Supplied) {
+          ExecutableCache ExeC(8u << 20);
+          return observe([&] {
+            RunContext Ctx;
+            Ctx.CampaignSeed = Policy.CampaignSeed;
+            Ctx.ModuleHash = Supplied;
+            if (WithExeCache && T->spec().deterministic())
+              Ctx.ExeCache = &ExeC;
+            // Twice, so a cached second call replays the first's compile.
+            std::vector<TargetRun> Runs = T->runBatch(M, Inputs, Ctx);
+            std::vector<TargetRun> Again = T->runBatch(M, Inputs, Ctx);
+            Runs.insert(Runs.end(), Again.begin(), Again.end());
+            return Runs;
+          });
+        };
+        expectSameObservations(Raw(std::nullopt), Raw(Hash),
+                               "Target::runBatch " + Where);
+      }
+
+      // HarnessedTarget::run and runBatch, uncached and memoized views.
+      for (bool Memoized : {false, true}) {
+        auto Harnessed = [&](std::optional<uint64_t> Supplied) {
+          EvalCache Cache(8u << 20);
+          ExecutableCache ExeC(8u << 20);
+          HarnessedTarget H(*T, Policy, Memoized ? &Cache : nullptr, &ExeC);
+          return observe([&] {
+            std::vector<TargetRun> Runs = H.runBatch(M, Inputs, Supplied);
+            for (const ShaderInput &Input : Inputs)
+              Runs.push_back(H.run(M, Input, Supplied));
+            return Runs;
+          });
+        };
+        Observed Plain = Harnessed(std::nullopt);
+        expectSameObservations(Plain, Harnessed(Hash),
+                               "HarnessedTarget " + Where);
+        for (const TargetRun &R : Plain.Runs) {
+          Interesting += R.interesting() ? 1 : 0;
+          ToolErrors += R.RunOutcome == Outcome::ToolError ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(Interesting, 0u) << "no subject exercised a crash path";
+  EXPECT_GT(ToolErrors, 0u) << "no subject exercised a tool error";
+}
+
+// The supplied-hash check is a Debug-build assertion, so the test exists
+// only where assertions are compiled in.
+#ifndef NDEBUG
+TEST(HarnessDeathTest, WrongSuppliedModuleHashAsserts) {
+  Fixture F;
+  TargetFleet Fleet = TargetFleet::standard();
+  const Target *Opt = fleetTarget(Fleet, "spirv-opt");
+  const uint64_t Wrong = hashModule(F.M) ^ 1;
+  RunContext Ctx;
+  Ctx.ModuleHash = Wrong;
+  EXPECT_DEATH(Opt->run(F.M, F.Input, Ctx), "supplied module hash");
+  EvalCache Cache(8u << 20);
+  HarnessedTarget Memoized(*Opt, HarnessPolicy(), &Cache);
+  EXPECT_DEATH(Memoized.run(F.M, F.Input, Wrong), "supplied module hash");
+  ExecutableCache ExeC(8u << 20);
+  EXPECT_DEATH(ExeC.getOrCompile(*Opt, F.M, ExecEngine::Lowered, Wrong),
+               "supplied module hash");
+}
+#endif
 
 } // namespace

@@ -9,6 +9,8 @@
 #include "analysis/ModuleAnalysis.h"
 #include "TestHelpers.h"
 
+#include <span>
+
 using namespace spvfuzz;
 using namespace spvfuzz::test;
 
@@ -233,7 +235,7 @@ TEST(Cfg, SuccessorsAndPredecessors) {
   const Function &Main = *F.M.findFunction(F.MainId);
   Cfg Graph(Main);
   EXPECT_EQ(Graph.entryId(), F.EntryBlock);
-  std::vector<Id> EntrySuccs = Graph.successors(F.EntryBlock);
+  std::span<const Id> EntrySuccs = Graph.successors(F.EntryBlock);
   ASSERT_EQ(EntrySuccs.size(), 2u);
   EXPECT_EQ(EntrySuccs[0], F.ThenBlock);
   EXPECT_EQ(EntrySuccs[1], F.ElseBlock);
@@ -256,6 +258,147 @@ TEST(Dominators, DiamondShape) {
   EXPECT_TRUE(Dom.dominates(F.ThenBlock, F.ThenBlock));
   EXPECT_EQ(Dom.immediateDominator(F.MergeBlock), F.EntryBlock);
   EXPECT_EQ(Dom.immediateDominator(F.EntryBlock), InvalidId);
+}
+
+/// A bare function whose blocks hold only terminators, one per
+/// {label, successors} entry: no successor returns, one branches, two
+/// branch conditionally on %1.
+Function cfgFunction(
+    const std::vector<std::pair<Id, std::vector<Id>>> &Shape) {
+  Function Func;
+  for (const auto &[Label, Succs] : Shape) {
+    BasicBlock Block(Label);
+    if (Succs.empty())
+      Block.Body.push_back(ModuleBuilder::makeReturn());
+    else if (Succs.size() == 1)
+      Block.Body.push_back(ModuleBuilder::makeBranch(Succs[0]));
+    else
+      Block.Body.push_back(
+          ModuleBuilder::makeBranchConditional(1, Succs[0], Succs[1]));
+    Func.Blocks.push_back(std::move(Block));
+  }
+  return Func;
+}
+
+std::vector<Id> ids(std::span<const Id> Span) {
+  return std::vector<Id>(Span.begin(), Span.end());
+}
+
+TEST(Cfg, BranchTargetOutsideFunction) {
+  // %99 and %98 label no block here; %12 is unreachable.
+  Function Func = cfgFunction({{10, {11}}, {11, {99}}, {12, {98}}});
+  Cfg Graph(Func);
+  DominatorTree Dom(Func, Graph);
+  EXPECT_EQ(ids(Graph.successors(11)), std::vector<Id>{99});
+  EXPECT_EQ(ids(Graph.predecessors(99)), std::vector<Id>{11});
+  EXPECT_TRUE(Graph.successors(99).empty());
+  EXPECT_TRUE(Graph.isReachable(99));
+  EXPECT_EQ(Graph.reversePostorder(), (std::vector<Id>{10, 11, 99}));
+  EXPECT_EQ(Dom.immediateDominator(99), 11u);
+  EXPECT_TRUE(Dom.dominates(10, 99));
+  // An unreached outside target still lists its predecessor.
+  EXPECT_EQ(ids(Graph.predecessors(98)), std::vector<Id>{12});
+  EXPECT_FALSE(Graph.isReachable(98));
+  EXPECT_EQ(Dom.immediateDominator(98), InvalidId);
+}
+
+TEST(Cfg, EqualTargetConditionalListsItsTargetTwice) {
+  Function Func = cfgFunction({{10, {11, 11}}, {11, {}}});
+  Cfg Graph(Func);
+  EXPECT_EQ(ids(Graph.successors(10)), (std::vector<Id>{11, 11}));
+  EXPECT_EQ(ids(Graph.predecessors(11)), (std::vector<Id>{10, 10}));
+  EXPECT_EQ(Graph.reversePostorder(), (std::vector<Id>{10, 11}));
+  EXPECT_EQ(DominatorTree(Func, Graph).immediateDominator(11), 10u);
+}
+
+TEST(Dominators, UnreachableBlockDominatesOnlyItself) {
+  Function Func = cfgFunction({{10, {11}}, {11, {}}, {12, {11}}});
+  Cfg Graph(Func);
+  DominatorTree Dom(Func, Graph);
+  EXPECT_FALSE(Graph.isReachable(12));
+  EXPECT_EQ(ids(Graph.predecessors(11)), (std::vector<Id>{10, 12}));
+  EXPECT_EQ(Graph.reversePostorder(), (std::vector<Id>{10, 11}));
+  EXPECT_EQ(Dom.immediateDominator(12), InvalidId);
+  EXPECT_EQ(Dom.immediateDominator(11), 10u);
+  EXPECT_TRUE(Dom.dominates(12, 12));
+  EXPECT_FALSE(Dom.dominates(12, 11));
+  EXPECT_FALSE(Dom.dominates(10, 12));
+  EXPECT_FALSE(Dom.strictlyDominates(12, 12));
+  // Reflexive for any id, even one the function never mentions.
+  EXPECT_TRUE(Dom.dominates(12345, 12345));
+}
+
+TEST(Cfg, LoopBackEdgeReversePostorder) {
+  // 10 -> 11 -> {12, 13}, 12 -> 11 (back edge), 13 returns. The DFS
+  // visits successors in order: postorder 12, 13, 11, 10.
+  Function Func = cfgFunction({{10, {11}}, {11, {12, 13}}, {12, {11}},
+                               {13, {}}});
+  Cfg Graph(Func);
+  DominatorTree Dom(Func, Graph);
+  EXPECT_EQ(Graph.reversePostorder(), (std::vector<Id>{10, 11, 13, 12}));
+  EXPECT_EQ(ids(Graph.predecessors(11)), (std::vector<Id>{10, 12}));
+  EXPECT_EQ(Dom.immediateDominator(11), 10u);
+  EXPECT_EQ(Dom.immediateDominator(12), 11u);
+  EXPECT_EQ(Dom.immediateDominator(13), 11u);
+  EXPECT_TRUE(Dom.dominates(11, 12));
+  EXPECT_FALSE(Dom.dominates(12, 11));
+  EXPECT_FALSE(Dom.dominates(12, 13));
+}
+
+TEST(Cfg, DuplicateLabelTakesTheLastBlocksSuccessors) {
+  // Both blocks labelled %11 add predecessors; only the last one's
+  // terminator is followed, so %12 is not reached.
+  Function Func = cfgFunction({{10, {11}}, {11, {12}}, {11, {13}}, {12, {}},
+                               {13, {}}});
+  Cfg Graph(Func);
+  EXPECT_EQ(ids(Graph.successors(11)), std::vector<Id>{13});
+  EXPECT_EQ(ids(Graph.predecessors(12)), std::vector<Id>{11});
+  EXPECT_EQ(ids(Graph.predecessors(13)), std::vector<Id>{11});
+  EXPECT_FALSE(Graph.isReachable(12));
+  EXPECT_EQ(Graph.reversePostorder(), (std::vector<Id>{10, 11, 13}));
+}
+
+TEST(Cfg, FarApartLabelIds) {
+  Function Func = cfgFunction({{5, {1000000}}, {1000000, {7}}, {7, {}}});
+  Cfg Graph(Func);
+  DominatorTree Dom(Func, Graph);
+  EXPECT_EQ(Graph.reversePostorder(), (std::vector<Id>{5, 1000000, 7}));
+  EXPECT_EQ(ids(Graph.predecessors(7)), std::vector<Id>{1000000});
+  EXPECT_EQ(Dom.immediateDominator(7), 1000000u);
+  // Ids below, between and above the labels are not nodes.
+  for (Id Other : {Id(1), Id(6), Id(500000), Id(2000000)}) {
+    EXPECT_FALSE(Graph.isReachable(Other));
+    EXPECT_TRUE(Graph.successors(Other).empty());
+    EXPECT_TRUE(Graph.predecessors(Other).empty());
+    EXPECT_FALSE(Dom.dominates(5, Other));
+  }
+}
+
+TEST(Cfg, SingleBlockFunction) {
+  Function Func = cfgFunction({{10, {}}});
+  Cfg Graph(Func);
+  DominatorTree Dom(Func, Graph);
+  EXPECT_EQ(Graph.entryId(), 10u);
+  EXPECT_TRUE(Graph.successors(10).empty());
+  EXPECT_TRUE(Graph.predecessors(10).empty());
+  EXPECT_TRUE(Graph.isReachable(10));
+  EXPECT_FALSE(Graph.isReachable(11));
+  EXPECT_EQ(Graph.reversePostorder(), std::vector<Id>{10});
+  EXPECT_EQ(Dom.immediateDominator(10), InvalidId);
+  EXPECT_TRUE(Dom.dominates(10, 10));
+}
+
+TEST(ModuleAnalysis, AvailableAtEndOfAnotherFunctionsBlockIsFalse) {
+  Fixture F;
+  ModuleAnalysis Analysis(F.M);
+  EXPECT_TRUE(Analysis.idAvailableAtEnd(F.HelperAdd, F.HelperId,
+                                        F.HelperBlock));
+  EXPECT_FALSE(Analysis.idAvailableAtEnd(F.HelperAdd, F.MainId,
+                                         F.HelperBlock));
+  EXPECT_FALSE(Analysis.idAvailableAtEnd(F.LoadX, F.HelperId, F.EntryBlock));
+  EXPECT_FALSE(Analysis.idAvailableAtEnd(F.Const5, F.MainId, F.HelperBlock));
+  // A non-label id is not a block of any function.
+  EXPECT_FALSE(Analysis.idAvailableAtEnd(F.Const5, F.MainId, F.LoadX));
 }
 
 TEST(ModuleAnalysis, AvailabilityRules) {

@@ -115,9 +115,15 @@ void recordSteps(std::ostream &Out, const std::string &Subject,
   Module Clean = M;
   for (size_t Step = 0; Step < Pipeline.size(); ++Step) {
     Module Buggy = Clean;
-    if (PassCrash Crash = runOptPass(Pipeline[Step], Buggy, AllBugs))
-      Fired += (Fired.empty() ? "" : ";") + std::to_string(Step) + ':' +
-               *Crash;
+    // Separate appends: a chained operator+ on the conditional
+    // `const char *` trips GCC 12's -Wrestrict false positive (PR105651).
+    if (PassCrash Crash = runOptPass(Pipeline[Step], Buggy, AllBugs)) {
+      if (!Fired.empty())
+        Fired += ';';
+      Fired += std::to_string(Step);
+      Fired += ':';
+      Fired += *Crash;
+    }
     Digest.word(hashModule(Buggy));
     runOptPass(Pipeline[Step], Clean, BugHost());
     Digest.word(hashModule(Clean));
