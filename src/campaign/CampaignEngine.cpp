@@ -75,25 +75,6 @@ bool CampaignEngine::checkDeadline() {
   return true;
 }
 
-template <typename ResultT>
-std::vector<ResultT>
-CampaignEngine::runJobs(std::vector<std::function<ResultT()>> Jobs) {
-  std::vector<ResultT> Results;
-  Results.reserve(Jobs.size());
-  if (!Pool) {
-    for (std::function<ResultT()> &Job : Jobs)
-      Results.push_back(Job());
-    return Results;
-  }
-  std::vector<std::future<ResultT>> Futures;
-  Futures.reserve(Jobs.size());
-  for (std::function<ResultT()> &Job : Jobs)
-    Futures.push_back(Pool->submit(std::move(Job)));
-  for (std::future<ResultT> &Future : Futures)
-    Results.push_back(Future.get());
-  return Results;
-}
-
 std::vector<TestEvaluation>
 CampaignEngine::evaluateTests(const ToolConfig &Tool, size_t Count,
                               bool CrashesOnly) {
@@ -219,7 +200,7 @@ CampaignEngine::evaluateTests(const ToolConfig &Tool, size_t Count,
                                     Index, CrashesOnly, Policy.UniformInputs,
                                     Policy.Seed);
             });
-      Results = runJobs(std::move(Jobs));
+      Results = startJobs(std::move(Jobs)).collect();
     }
     bool Truncated = false;
     for (size_t Offset = 0; Offset < Results.size(); ++Offset) {
@@ -298,7 +279,7 @@ CampaignEngine::evaluateShard(const ToolConfig &Tool, size_t WaveStart,
       return evaluateTestOn(CorpusData, Tool, WaveTargets, Policy.Seed, Index,
                             CrashesOnly, Policy.UniformInputs, Policy.Seed);
     });
-  return runJobs(std::move(Jobs));
+  return startJobs(std::move(Jobs)).collect();
 }
 
 //===----------------------------------------------------------------------===//
@@ -359,6 +340,17 @@ struct ScanOutcome {
   size_t ReferenceIndex = 0;
 };
 
+/// nullopt marks a scan job cut short by the deadline.
+using ScanResult = std::optional<ScanOutcome>;
+
+/// One wave's scan, started ahead of the wave's fold: the quarantine
+/// snapshot its jobs run against (sidelined targets sit the wave out) and
+/// the jobs themselves.
+struct ScanWave {
+  std::vector<char> Sidelined;
+  JobBatch<ScanResult> Jobs;
+};
+
 /// One reduction accepted by the serial cap/budget decision loop.
 struct ReductionTask {
   size_t TestIndex = 0;
@@ -402,16 +394,15 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
         WantedTargets.end())
       Wanted.push_back(&T);
 
-  // Plan shared by every reduction task of this phase; the pool and the
-  // per-tool AddFunction-shrink knob are filled in per task.
+  // Plan shared by every reduction task of this phase; the per-tool
+  // AddFunction-shrink knob is filled in per task. It never carries the
+  // pool: reductions are pool jobs themselves, and a job that submits to
+  // and blocks on its own pool can deadlock it.
   ReductionPlan BasePlan;
   BasePlan.SnapshotInterval = Policy.ReplaySnapshotInterval;
   BasePlan.Order = Policy.ReduceOrder;
   BasePlan.PostReduce = Policy.PostReduce;
   BasePlan.PostPasses = Policy.PostReducePasses;
-
-  // nullopt marks a scan job cut short by the deadline.
-  using ScanResult = std::optional<ScanOutcome>;
 
   for (const ToolConfig &Tool : Tools) {
     if (std::find(WantedTools.begin(), WantedTools.end(), Tool.Name) ==
@@ -464,37 +455,20 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
                               Config.MaxReductionsPerTool,
                               /*ReportEvery=*/10);
 
-    size_t WavesSinceSave = 0;
-    bool Interrupted = false;
-    for (size_t WaveStart = StartWave;
-         WaveStart < Config.TestsPerTool &&
-         ReductionsDone < Config.MaxReductionsPerTool;
-         WaveStart += ShardSize) {
-      if (checkDeadline()) {
-        Interrupted = true;
-        break;
-      }
-      size_t WaveEnd = std::min(Config.TestsPerTool, WaveStart + ShardSize);
-
-      telemetry::TraceSpan WaveSpan("campaign.wave");
-      const uint64_t WaveId = WaveSpan.id();
-      if (WaveSpan.active()) {
-        WaveSpan.note({"phase_key", PhaseKey});
-        WaveSpan.note({"wave", WaveEnd});
-      }
-
-      // Quarantine snapshot at the wave boundary (serial, so identical at
-      // any job count): sidelined targets sit this wave out.
+    // Starts the scan of the wave at WaveStart; its job spans hang off
+    // WaveId. The quarantine snapshot is taken now, on this thread, after
+    // the previous wave's fold, so it is identical at any job count.
+    auto startScan = [&](size_t WaveStart, uint64_t WaveId) {
+      const size_t WaveEnd =
+          std::min(Config.TestsPerTool, WaveStart + ShardSize);
       std::vector<char> Sidelined(Wanted.size(), 0);
       for (size_t TargetIdx = 0; TargetIdx < Wanted.size(); ++TargetIdx)
         Sidelined[TargetIdx] = Har->quarantined(Wanted[TargetIdx]->name());
-
-      // Phase 1 (parallel): scan this wave's tests for bugs.
-      std::vector<std::function<ScanResult()>> ScanJobs;
-      ScanJobs.reserve(WaveEnd - WaveStart);
+      std::vector<std::function<ScanResult()>> Jobs;
+      Jobs.reserve(WaveEnd - WaveStart);
       for (size_t Index = WaveStart; Index < WaveEnd; ++Index)
-        ScanJobs.push_back([this, &Tool, &Wanted, &Config, &Sidelined, Index,
-                            WaveId]() -> ScanResult {
+        Jobs.push_back([this, &Tool, &Wanted, &Config, Sidelined, Index,
+                        WaveId]() -> ScanResult {
           if (cancelled())
             return std::nullopt;
           telemetry::TracePhaseScope JobPhase("scan");
@@ -527,7 +501,95 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
             Out.Fuzzed = FuzzResult{}; // nothing to reduce; free the variant
           return Out;
         });
-      std::vector<ScanResult> Scans = runJobs(std::move(ScanJobs));
+      return ScanWave{std::move(Sidelined), startJobs(std::move(Jobs))};
+    };
+
+    auto RunTask = [this, &Tool, &BasePlan](const ReductionTask &Task,
+                                            uint64_t WaveId)
+        -> std::optional<ReductionOutcome> {
+      if (cancelled())
+        return std::nullopt;
+      telemetry::TracePhaseScope JobPhase("reduce");
+      telemetry::TraceSpan JobSpan("campaign.reduce", WaveId);
+      JobSpan.note({"test", Task.TestIndex});
+      JobSpan.note({"target", Task.T->name()});
+      JobSpan.note({"signature", Task.Signature});
+      // The scan already fuzzed this test; reuse its result (tasks for
+      // different targets may share one outcome — reads only).
+      const FuzzResult &Fuzzed = Task.Scan->Fuzzed;
+      const GeneratedProgram &Reference =
+          CorpusData.References[Task.Scan->ReferenceIndex];
+
+      InterestingnessTest Test = makeInterestingnessTestFor(
+          *Task.T, Task.Signature, Reference.M, Reference.Input);
+      ReductionPlan TaskPlan = BasePlan;
+      // The §3.4 spirv-reduce step (AddFunction payload shrinking) is a
+      // pipeline stage now; glsl-fuzz's group reducer has neither it nor a
+      // sequence-level pipeline.
+      TaskPlan.ShrinkFunctions = Tool.Name != "glsl-fuzz";
+      ReduceResult Reduced =
+          Tool.Name == "glsl-fuzz"
+              ? reduceByGroups(Reference.M, Reference.Input, Fuzzed.Sequence,
+                               Fuzzed.PassGroups, Test)
+              : ReductionPipeline(TaskPlan).run(Reference.M, Reference.Input,
+                                                Fuzzed.Sequence, Test);
+
+      ReductionOutcome Out;
+      ReductionRecord &Record = Out.Record;
+      Record.Tool = Tool.Name;
+      Record.TargetName = Task.T->name();
+      Record.Signature = Task.Signature;
+      Record.TestIndex = Task.TestIndex;
+      Record.OriginalCount = Reference.M.instructionCount();
+      Record.UnreducedCount = Fuzzed.Variant.instructionCount();
+      Record.ReducedCount = Reduced.ReducedVariant.instructionCount();
+      Record.MinimizedLength = Reduced.Minimized.size();
+      Record.Checks = Reduced.Checks;
+      Record.SpeculativeChecks = Reduced.SpeculativeChecks;
+      Record.Types = dedupTypesOf(Reduced.Minimized);
+      Record.PostStats = std::move(Reduced.PostStats);
+      Out.ReferenceIndex = Task.Scan->ReferenceIndex;
+      if (Checkpointer || Sink) {
+        Out.Reduced = std::move(Reduced.ReducedVariant);
+        Out.Minimized = std::move(Reduced.Minimized);
+        if (!Record.PostStats.empty())
+          Out.PostOriginal = std::move(Reduced.ReducedOriginal);
+      }
+      return Out;
+    };
+
+    size_t WavesSinceSave = 0;
+    bool Interrupted = false;
+    // The next wave's scan, started as soon as this wave's fold has fixed
+    // its inputs, so that it runs on the pool behind this wave's reductions
+    // while this thread commits them. Destroying it (a deadline, a
+    // truncated wave, an exception from a hook) cancels and drains the jobs
+    // still in flight; everything they read is declared before it.
+    std::optional<ScanWave> Next;
+    telemetry::ReservedSpanId NextSpan;
+    for (size_t WaveStart = StartWave;
+         WaveStart < Config.TestsPerTool &&
+         ReductionsDone < Config.MaxReductionsPerTool;
+         WaveStart += ShardSize) {
+      if (checkDeadline()) {
+        Interrupted = true;
+        break;
+      }
+      size_t WaveEnd = std::min(Config.TestsPerTool, WaveStart + ShardSize);
+
+      telemetry::TraceSpan WaveSpan("campaign.wave", NextSpan);
+      const uint64_t WaveId = WaveSpan.id();
+      if (WaveSpan.active()) {
+        WaveSpan.note({"phase_key", PhaseKey});
+        WaveSpan.note({"wave", WaveEnd});
+      }
+
+      // Phase 1 (parallel): scan this wave's tests for bugs. The previous
+      // wave already started the scan unless this is the phase's first.
+      ScanWave Wave = Next ? std::move(*Next) : startScan(WaveStart, WaveId);
+      Next.reset();
+      std::vector<ScanResult> Scans = Wave.Jobs.collect();
+      const std::vector<char> &Sidelined = Wave.Sidelined;
 
       // Phase 2 (serial, in test-index order): commit breaker outcomes and
       // apply the per-signature cap and the per-tool budget exactly as the
@@ -571,86 +633,28 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
         }
       }
 
-      // Phase 3: run the accepted reductions; aggregate records in
-      // acceptance order. Two schedules, same records:
-      //  - speculative (spirv-fuzz tools, pool available): reductions run
-      //    one at a time on this thread while each reduction speculates
-      //    its delta-debugging candidates across the pool. Reductions must
-      //    not themselves be pool jobs then — a job submitting to and
-      //    blocking on its own pool can deadlock it.
-      //  - otherwise: reductions fan out across the pool as before
-      //    (glsl-fuzz's group reducer has no speculative path).
-      const bool Speculative =
-          Policy.SpeculativeReduction && Pool && Tool.Name != "glsl-fuzz";
-      auto RunTask = [this, &Tool, &BasePlan, Speculative,
-                      WaveId](const ReductionTask &Task)
-          -> std::optional<ReductionOutcome> {
-        if (cancelled())
-          return std::nullopt;
-        telemetry::TracePhaseScope JobPhase("reduce");
-        telemetry::TraceSpan JobSpan("campaign.reduce", WaveId);
-        JobSpan.note({"test", Task.TestIndex});
-        JobSpan.note({"target", Task.T->name()});
-        JobSpan.note({"signature", Task.Signature});
-        // The scan already fuzzed this test; reuse its result (tasks for
-        // different targets may share one outcome — reads only).
-        const FuzzResult &Fuzzed = Task.Scan->Fuzzed;
-        const GeneratedProgram &Reference =
-            CorpusData.References[Task.Scan->ReferenceIndex];
+      // Phase 3 (parallel): one job per accepted reduction.
+      std::vector<std::function<std::optional<ReductionOutcome>()>>
+          ReduceJobs;
+      ReduceJobs.reserve(Accepted.size());
+      for (const ReductionTask &Task : Accepted)
+        ReduceJobs.push_back(
+            [&RunTask, Task, WaveId] { return RunTask(Task, WaveId); });
+      JobBatch<std::optional<ReductionOutcome>> Reductions =
+          startJobs(std::move(ReduceJobs));
 
-        InterestingnessTest Test = makeInterestingnessTestFor(
-            *Task.T, Task.Signature, Reference.M, Reference.Input);
-        ReductionPlan TaskPlan = BasePlan;
-        TaskPlan.Pool = Speculative ? Pool.get() : nullptr;
-        // The ğ3.4 spirv-reduce step (AddFunction payload shrinking) is a
-        // pipeline stage now; glsl-fuzz's group reducer has neither it nor
-        // a sequence-level pipeline.
-        TaskPlan.ShrinkFunctions = Tool.Name != "glsl-fuzz";
-        ReduceResult Reduced =
-            Tool.Name == "glsl-fuzz"
-                ? reduceByGroups(Reference.M, Reference.Input,
-                                 Fuzzed.Sequence, Fuzzed.PassGroups, Test)
-                : ReductionPipeline(TaskPlan).run(Reference.M,
-                                                  Reference.Input,
-                                                  Fuzzed.Sequence, Test);
-
-        ReductionOutcome Out;
-        ReductionRecord &Record = Out.Record;
-        Record.Tool = Tool.Name;
-        Record.TargetName = Task.T->name();
-        Record.Signature = Task.Signature;
-        Record.TestIndex = Task.TestIndex;
-        Record.OriginalCount = Reference.M.instructionCount();
-        Record.UnreducedCount = Fuzzed.Variant.instructionCount();
-        Record.ReducedCount = Reduced.ReducedVariant.instructionCount();
-        Record.MinimizedLength = Reduced.Minimized.size();
-        Record.Checks = Reduced.Checks;
-        Record.SpeculativeChecks = Reduced.SpeculativeChecks;
-        Record.Types = dedupTypesOf(Reduced.Minimized);
-        Record.PostStats = std::move(Reduced.PostStats);
-        Out.ReferenceIndex = Task.Scan->ReferenceIndex;
-        if (Checkpointer || Sink) {
-          Out.Reduced = std::move(Reduced.ReducedVariant);
-          Out.Minimized = std::move(Reduced.Minimized);
-          if (!Record.PostStats.empty())
-            Out.PostOriginal = std::move(Reduced.ReducedOriginal);
-        }
-        return Out;
-      };
-
-      std::vector<std::optional<ReductionOutcome>> Outcomes;
-      if (Speculative) {
-        Outcomes.reserve(Accepted.size());
-        for (const ReductionTask &Task : Accepted)
-          Outcomes.push_back(RunTask(Task));
-      } else {
-        std::vector<std::function<std::optional<ReductionOutcome>()>>
-            ReduceJobs;
-        ReduceJobs.reserve(Accepted.size());
-        for (const ReductionTask &Task : Accepted)
-          ReduceJobs.push_back([&RunTask, Task] { return RunTask(Task); });
-        Outcomes = runJobs(std::move(ReduceJobs));
+      // Phase 2 is the only place this phase commits breaker outcomes, and
+      // the budget reads only ReductionsDone, so the next wave's inputs are
+      // final now: queue its scan behind this wave's reductions.
+      if (!Truncated && WaveEnd < Config.TestsPerTool &&
+          ReductionsDone < Config.MaxReductionsPerTool) {
+        NextSpan = telemetry::ReservedSpanId::reserve();
+        Next.emplace(startScan(WaveEnd, NextSpan.Id));
       }
+
+      // Commit (serial, in acceptance order).
+      std::vector<std::optional<ReductionOutcome>> Outcomes =
+          Reductions.collect();
       for (std::optional<ReductionOutcome> &Out : Outcomes) {
         if (!Out) {
           Truncated = true;
@@ -704,6 +708,12 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
         if (Observer)
           Observer->onCheckpointSaved(PhaseKey, WaveEnd);
       }
+    }
+    if (Next) {
+      // Interrupted with the next wave's scan in flight: drain it under
+      // the wave span its jobs already name as parent.
+      telemetry::TraceSpan Abandoned("campaign.wave", NextSpan);
+      Next.reset();
     }
     if (Checkpointer && !Interrupted) {
       Checkpointer->saveReduction(

@@ -60,12 +60,6 @@ struct ExecutionPolicy {
   /// memoizes TargetRun outcomes across reduction checks and dedup
   /// (target/EvalCache.h); 0 disables memoization. Never changes results.
   size_t EvalCacheBudget = 64ull << 20;
-  /// When true and Jobs != 1, spirv-fuzz-style reductions evaluate each
-  /// delta-debugging pass's candidates speculatively on the worker pool
-  /// (acceptance still commits in serial pass order, so results and Checks
-  /// stay bit-identical to a serial run). glsl-fuzz reductions, which have
-  /// no speculative path, keep running in parallel across reductions.
-  bool SpeculativeReduction = true;
   /// Simulated step budget per target attempt (target/Harness.h); 0 =
   /// unlimited. The default equals the interpreter's own step limit, so
   /// solid targets behave exactly as before the harness existed.
@@ -147,10 +141,6 @@ struct ExecutionPolicy {
   }
   ExecutionPolicy &withEvalCacheBudget(size_t Bytes) {
     EvalCacheBudget = Bytes;
-    return *this;
-  }
-  ExecutionPolicy &withSpeculativeReduction(bool On) {
-    SpeculativeReduction = On;
     return *this;
   }
   ExecutionPolicy &withTargetDeadlineSteps(uint64_t Steps) {
@@ -465,7 +455,9 @@ public:
   /// ğ4.2 reduction-quality driver (RQ2). Cap and budget decisions
   /// (CapPerSignature, MaxReductionsPerTool) are applied serially, in
   /// test-index order, on the aggregation thread, so the set of reductions
-  /// run is identical at any job count.
+  /// run is identical at any job count. Each wave's accepted reductions run
+  /// side by side, one per pool job, while the next wave's scan queues
+  /// behind them; commits stay serial, in acceptance order.
   ReductionData runReductions(const ReductionConfig &Config);
 
   /// Table 4 driver (RQ3): crash-only reductions + Figure 6 dedup.
@@ -479,10 +471,12 @@ public:
   static constexpr size_t ShardSize = 32;
 
 private:
-  /// Runs one wave: inline when the policy is serial, else submitted to the
-  /// pool with futures collected in submission order.
+  /// Starts a batch of jobs on the pool; without one (Jobs == 1) the batch
+  /// runs them inline when it is collected.
   template <typename ResultT>
-  std::vector<ResultT> runJobs(std::vector<std::function<ResultT()>> Jobs);
+  JobBatch<ResultT> startJobs(std::vector<std::function<ResultT()>> Jobs) {
+    return JobBatch<ResultT>(Pool.get(), std::move(Jobs));
+  }
 
   /// Returns true (and latches cancellation) once the deadline has passed.
   bool checkDeadline();

@@ -15,7 +15,6 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <future>
 #include <numeric>
 #include <set>
 #include <unordered_map>
@@ -264,15 +263,17 @@ ReduceResult ReductionPipeline::reduceSequenceStage(
       Cache.prepare(Current, DeepestPrefix);
 
       if (BatchSize > 1) {
-        // Barrier: every future must be collected before Current or the
-        // cache is mutated below — the jobs read both through references.
-        std::vector<std::future<void>> Futures;
-        Futures.reserve(BatchSize);
+        // Barrier: every job must finish before Current or the cache is
+        // mutated below — the jobs read both through references. Each job
+        // leaves its verdict in its candidate.
+        std::vector<std::function<bool()>> Jobs;
+        Jobs.reserve(BatchSize);
         for (size_t I = 0; I != BatchSize; ++I)
-          Futures.push_back(
-              Plan.Pool->submit([&Evaluate, &C = Batch[I]] { Evaluate(C); }));
-        for (std::future<void> &F : Futures)
-          F.get();
+          Jobs.push_back([&Evaluate, &C = Batch[I]] {
+            Evaluate(C);
+            return C.Interesting;
+          });
+        JobBatch<bool>(Plan.Pool, std::move(Jobs)).collect();
       } else {
         Evaluate(Batch[0]);
       }

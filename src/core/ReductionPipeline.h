@@ -181,7 +181,9 @@ struct ReductionPlan {
   /// the pool while acceptance commits strictly in serial scan order;
   /// results invalidated by an earlier acceptance are discarded (counted
   /// in ReduceResult::SpeculativeChecks). The pipeline only submits leaf
-  /// jobs — never call run() itself from a job on the same pool.
+  /// jobs — never call run() itself from a job on the same pool. Used by
+  /// `minispv reduce --jobs`; campaigns run whole reductions as pool jobs
+  /// instead and leave it null.
   ThreadPool *Pool = nullptr;
   /// Chunk-candidate ordering for the delta-debugging scans.
   CandidateOrder Order = CandidateOrder::Paper;

@@ -19,6 +19,9 @@
 ///  - The destructor drains the queue: all submitted jobs execute before
 ///    the workers join, so no future is ever abandoned mid-flight.
 ///
+/// JobBatch wraps the submit-then-collect pattern so that no job can outlive
+/// the caller's stack frame, even when a job or the caller throws.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SUPPORT_THREADPOOL_H
@@ -27,6 +30,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -89,6 +93,73 @@ private:
   size_t Busy = 0;
   bool Stopping = false;
   std::atomic<bool> Cancel{false};
+};
+
+/// Jobs started together and collected together, in submission order. With
+/// a pool the constructor queues every job; without one (a serial run)
+/// collect() runs them inline, in order, on the calling thread, so callers
+/// keep one code path for both. No job outlives its batch: collect() waits
+/// for every job before it rethrows the first exception (in submission
+/// order), and a batch destroyed uncollected (an early exit, or an
+/// exception unwinding past it) lets its queued jobs skip their work and
+/// waits for the ones already running. Jobs may therefore reference the
+/// caller's locals declared before the batch. A skipped job yields
+/// ResultT{}, which nobody observes.
+template <typename ResultT> class JobBatch {
+public:
+  JobBatch(ThreadPool *Pool, std::vector<std::function<ResultT()>> Jobs)
+      : Skip(std::make_shared<std::atomic<bool>>(false)) {
+    if (!Pool) {
+      Inline = std::move(Jobs);
+      return;
+    }
+    Futures.reserve(Jobs.size());
+    for (std::function<ResultT()> &Job : Jobs)
+      Futures.push_back(Pool->submit(
+          [Skip = Skip, Job = std::move(Job)]() -> ResultT {
+            if (Skip->load(std::memory_order_acquire))
+              return ResultT{};
+            return Job();
+          }));
+  }
+  JobBatch(JobBatch &&) = default;
+  JobBatch &operator=(JobBatch &&) = delete;
+  JobBatch(const JobBatch &) = delete;
+  JobBatch &operator=(const JobBatch &) = delete;
+
+  ~JobBatch() {
+    if (Skip)
+      Skip->store(true, std::memory_order_release);
+    for (std::future<ResultT> &Future : Futures)
+      if (Future.valid())
+        Future.wait();
+  }
+
+  /// Waits for (or, without a pool, runs) every job and returns the results
+  /// in submission order. Call at most once.
+  std::vector<ResultT> collect() {
+    std::vector<ResultT> Results;
+    Results.reserve(Inline.size() + Futures.size());
+    for (std::function<ResultT()> &Job : Inline)
+      Results.push_back(Job());
+    std::exception_ptr First;
+    for (std::future<ResultT> &Future : Futures) {
+      try {
+        Results.push_back(Future.get());
+      } catch (...) {
+        if (!First)
+          First = std::current_exception();
+      }
+    }
+    if (First)
+      std::rethrow_exception(First);
+    return Results;
+  }
+
+private:
+  std::shared_ptr<std::atomic<bool>> Skip;
+  std::vector<std::function<ResultT()>> Inline;
+  std::vector<std::future<ResultT>> Futures;
 };
 
 } // namespace spvfuzz

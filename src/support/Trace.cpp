@@ -166,14 +166,15 @@ void Tracer::writeRecord(std::string_view Type, std::string_view Name,
     Sink << Line;
 }
 
-TraceSpan::TraceSpan(std::string_view Name, uint64_t ParentOverride)
+TraceSpan::TraceSpan(std::string_view Name, uint64_t ParentOverride,
+                     uint64_t PresetId)
     : Name(Name), Active(Tracer::global().enabled()) {
   if (!Active)
     return;
   Tracer &T = Tracer::global();
   StartUs = T.nowUs();
   Parent = ParentOverride == UseStack ? currentSpanId() : ParentOverride;
-  Id = T.allocateSpanId();
+  Id = PresetId ? PresetId : T.allocateSpanId();
   Phase = currentTracePhase();
   ThreadSpanStack.push_back(Id);
 }

@@ -120,6 +120,18 @@ private:
   std::chrono::steady_clock::time_point Epoch;
 };
 
+/// A span id allocated before its span opens, so that work started ahead
+/// of the span (a prefetched wave's pool jobs) can already name it as
+/// parent. Id 0 means nothing was reserved because tracing was off.
+struct ReservedSpanId {
+  uint64_t Id = 0;
+
+  static ReservedSpanId reserve() {
+    Tracer &T = Tracer::global();
+    return {T.enabled() ? T.allocateSpanId() : 0};
+  }
+};
+
 /// RAII span: allocates an id and pushes itself on the thread's span stack
 /// at construction, pops and emits one span record at destruction. Extra
 /// fields can be attached while the span is open. The parent defaults to
@@ -128,7 +140,12 @@ private:
 class TraceSpan {
 public:
   explicit TraceSpan(std::string_view Name) : TraceSpan(Name, UseStack) {}
-  TraceSpan(std::string_view Name, uint64_t ParentOverride);
+  TraceSpan(std::string_view Name, uint64_t ParentOverride)
+      : TraceSpan(Name, ParentOverride, 0) {}
+  /// Opens the span under the id \p Reserved holds (a fresh one when it
+  /// holds none), parented like TraceSpan(Name).
+  TraceSpan(std::string_view Name, ReservedSpanId Reserved)
+      : TraceSpan(Name, UseStack, Reserved.Id) {}
   TraceSpan(const TraceSpan &) = delete;
   TraceSpan &operator=(const TraceSpan &) = delete;
   ~TraceSpan();
@@ -147,6 +164,9 @@ public:
 private:
   /// Sentinel ParentOverride: take the parent from the thread span stack.
   static constexpr uint64_t UseStack = ~0ull;
+
+  /// \p PresetId 0 allocates a fresh id.
+  TraceSpan(std::string_view Name, uint64_t ParentOverride, uint64_t PresetId);
 
   std::string Name;
   bool Active;

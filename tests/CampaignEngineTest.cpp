@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "campaign/CampaignEngine.h"
+#include "support/ModuleHash.h"
 #include "support/Telemetry.h"
 
 #include "gtest/gtest.h"
@@ -170,40 +171,186 @@ void expectSameReductionRecords(const ReductionData &A,
   }
 }
 
-TEST(CampaignEngine, SpeculativeReductionIsIdenticalToSerial) {
-  // The speculative path evaluates delta-debugging candidates ahead of
-  // time on the pool; only SpeculativeChecks (wasted work) may differ from
-  // the serial run — the decision sequence, and therefore every record
-  // field including Checks, must not.
+/// Logs every observer callback, in order, as one line each.
+class RecordingObserver : public CampaignObserver {
+public:
+  std::vector<std::string> Log;
+
+  void onPhaseStarted(const std::string &Phase, size_t StartWave,
+                      size_t Total) override {
+    add("phase " + Phase, {StartWave, Total});
+  }
+  void onBugFound(const std::string &Phase, size_t WaveEnd, size_t TestIndex,
+                  const std::string &Target,
+                  const std::string &Signature) override {
+    add("bug " + Phase + " " + Target + " " + Signature,
+        {WaveEnd, TestIndex});
+  }
+  void onTargetQuarantined(const std::string &Phase, size_t WaveEnd,
+                           const std::string &Target) override {
+    add("quarantined " + Phase + " " + Target, {WaveEnd});
+  }
+  void onReductionStep(const std::string &Phase, size_t WaveEnd,
+                       const ReductionRecord &Record) override {
+    add("reduced " + Phase + " " + Record.TargetName + " " +
+            Record.Signature,
+        {WaveEnd, Record.TestIndex, Record.ReducedCount, Record.Checks,
+         Record.SpeculativeChecks});
+  }
+  void onWaveCommitted(const std::string &Phase, size_t WaveEnd,
+                       size_t Total, size_t Count) override {
+    add("wave " + Phase, {WaveEnd, Total, Count});
+  }
+  void onCheckpointSaved(const std::string &Phase, size_t WaveEnd) override {
+    add("saved " + Phase, {WaveEnd});
+  }
+
+private:
+  void add(std::string Line, std::initializer_list<size_t> Numbers) {
+    for (size_t Number : Numbers)
+      Line += " " + std::to_string(Number);
+    Log.push_back(std::move(Line));
+  }
+};
+
+size_t countLines(const std::vector<std::string> &Log,
+                  const std::string &Prefix) {
+  size_t N = 0;
+  for (const std::string &Line : Log)
+    N += Line.rfind(Prefix, 0) == 0;
+  return N;
+}
+
+/// An in-memory checkpointer that starts empty and logs every save and
+/// every reproducer handed to it, in order.
+class RecordingCheckpointer : public CampaignCheckpointer {
+public:
+  std::vector<std::string> Log;
+
+  bool loadEvaluation(const std::string &, EvaluationCheckpoint &) override {
+    return false;
+  }
+  void saveEvaluation(const EvaluationCheckpoint &C) override {
+    Log.push_back("eval " + C.Phase + " " + std::to_string(C.NextWave));
+  }
+  bool loadReduction(const std::string &, ReductionCheckpoint &) override {
+    return false;
+  }
+  void saveReduction(const ReductionCheckpoint &C) override {
+    std::string Line = "reduce " + C.Phase + " " +
+                       std::to_string(C.NextWave) + " " +
+                       std::to_string(C.Complete) + " " +
+                       std::to_string(C.ReductionsDone);
+    for (const ReductionRecord &Record : C.Records)
+      Line += " " + std::to_string(Record.TestIndex) + ":" +
+              std::to_string(Record.Checks);
+    Log.push_back(Line);
+  }
+  void recordReproducer(const ReductionRecord &Record, const Module &Original,
+                        const ShaderInput &, const Module &Reduced,
+                        const TransformationSequence &Minimized) override {
+    Log.push_back("repro " + Record.Tool + " " + Record.TargetName + " " +
+                  Record.Signature + " " + std::to_string(Record.TestIndex) +
+                  " " + std::to_string(hashModule(Original)) + " " +
+                  std::to_string(hashModule(Reduced)) + " " +
+                  std::to_string(Minimized.size()));
+  }
+};
+
+TEST(CampaignEngine, ReductionScheduleIsIdenticalAcrossJobCounts) {
+  // At jobs > 1 each wave's reductions run side by side on the pool while
+  // the next wave's scan queues behind them; commits stay serial. Records
+  // (Checks included) and the exact sequence of observer and checkpointer
+  // calls must match the serial run, over both reducing tools and the
+  // dedup phase, and no campaign reduction ever speculates.
   ReductionConfig Config;
-  Config.TestsPerTool = 60;
+  Config.TestsPerTool = 80;
   Config.CapPerSignature = 2;
-  Config.MaxReductionsPerTool = 8;
+  Config.MaxReductionsPerTool = 10;
 
-  CampaignEngine Serial = makeEngine(1);
-  ReductionData A = Serial.runReductions(Config);
+  struct Run {
+    ReductionData Reductions;
+    DedupData Dedup;
+    std::vector<std::string> Events;
+    std::vector<std::string> Saves;
+  };
+  auto runAt = [&](size_t Jobs) {
+    CampaignEngine Engine = makeEngine(Jobs);
+    RecordingObserver Observer;
+    RecordingCheckpointer Checkpointer;
+    Engine.setObserver(&Observer);
+    Engine.setCheckpointer(&Checkpointer);
+    Run R;
+    R.Reductions = Engine.runReductions(Config);
+    R.Dedup = Engine.runDedup(Config);
+    R.Events = std::move(Observer.Log);
+    R.Saves = std::move(Checkpointer.Log);
+    return R;
+  };
 
-  CampaignEngine Speculative(ExecutionPolicy{}
-                                 .withJobs(8)
-                                 .withTransformationLimit(120)
-                                 .withSpeculativeReduction(true),
-                             smallCorpus());
-  ReductionData B = Speculative.runReductions(Config);
+  Run Serial = runAt(1);
+  // Several reduction waves committed, so the overlap is exercised.
+  EXPECT_GE(countLines(Serial.Events, "wave reduce/spirv-fuzz/"), 2u);
+  EXPECT_GE(countLines(Serial.Events, "wave reduce/glsl-fuzz/"), 2u);
+  ASSERT_FALSE(Serial.Saves.empty());
 
-  CampaignEngine NonSpeculative(ExecutionPolicy{}
-                                    .withJobs(8)
-                                    .withTransformationLimit(120)
-                                    .withSpeculativeReduction(false),
-                                smallCorpus());
-  ReductionData C = NonSpeculative.runReductions(Config);
+  for (size_t Jobs : {size_t(2), size_t(4), size_t(8)}) {
+    SCOPED_TRACE("jobs " + std::to_string(Jobs));
+    Run Parallel = runAt(Jobs);
+    expectSameReductionRecords(Serial.Reductions, Parallel.Reductions);
+    EXPECT_EQ(Serial.Dedup.Total.Tests, Parallel.Dedup.Total.Tests);
+    EXPECT_EQ(Serial.Dedup.Total.Reports, Parallel.Dedup.Total.Reports);
+    EXPECT_EQ(Serial.Dedup.Total.Distinct, Parallel.Dedup.Total.Distinct);
+    EXPECT_EQ(Serial.Events, Parallel.Events);
+    EXPECT_EQ(Serial.Saves, Parallel.Saves);
+    for (const ReductionRecord &Record : Parallel.Reductions.Records)
+      EXPECT_EQ(Record.SpeculativeChecks, 0u);
+  }
+}
 
-  expectSameReductionRecords(A, B);
-  expectSameReductionRecords(A, C);
-  // Serial and non-speculative runs never discard evaluations.
-  for (const ReductionRecord &Record : A.Records)
-    EXPECT_EQ(Record.SpeculativeChecks, 0u);
-  for (const ReductionRecord &Record : C.Records)
-    EXPECT_EQ(Record.SpeculativeChecks, 0u);
+TEST(CampaignEngine, ReductionDeadlineMidPhaseReturnsAPrefix) {
+  // The deadline fires after the first reduction wave has committed, while
+  // the second wave's scan is already in flight on the pool. The phase
+  // must cancel and drain it and return the committed prefix.
+  ReductionConfig Config;
+  Config.TestsPerTool = 80;
+  Config.CapPerSignature = 2;
+  Config.MaxReductionsPerTool = 10;
+  ReductionData Full = makeEngine(4).runReductions(Config);
+
+  /// Holds the first committed wave until the deadline has passed.
+  class StallFirstWave : public CampaignObserver {
+  public:
+    explicit StallFirstWave(const CampaignEngine &Engine) : Engine(Engine) {}
+    size_t Waves = 0;
+    void onWaveCommitted(const std::string &, size_t, size_t,
+                         size_t) override {
+      if (Waves++ == 0)
+        while (!Engine.deadlineExpired())
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+  private:
+    const CampaignEngine &Engine;
+  };
+
+  CampaignEngine Engine(ExecutionPolicy{}
+                            .withJobs(4)
+                            .withTransformationLimit(120)
+                            .withDeadline(std::chrono::milliseconds(1000)),
+                        smallCorpus());
+  StallFirstWave Observer(Engine);
+  Engine.setObserver(&Observer);
+  ReductionData Cut = Engine.runReductions(Config);
+
+  EXPECT_EQ(Observer.Waves, 1u);
+  ASSERT_LT(Cut.Records.size(), Full.Records.size());
+  for (size_t I = 0; I < Cut.Records.size(); ++I) {
+    EXPECT_EQ(Cut.Records[I].TestIndex, Full.Records[I].TestIndex);
+    EXPECT_EQ(Cut.Records[I].TargetName, Full.Records[I].TargetName);
+    EXPECT_EQ(Cut.Records[I].Signature, Full.Records[I].Signature);
+    EXPECT_EQ(Cut.Records[I].Checks, Full.Records[I].Checks);
+  }
 }
 
 TEST(CampaignEngine, EvalCacheAndSnapshotKnobsNeverChangeResults) {

@@ -76,6 +76,9 @@ public:
   explicit CountingCheckpointer(CampaignCheckpointer &Inner) : Inner(Inner) {}
 
   size_t Saves = 0;
+  /// Evaluation-phase saves; runCampaign makes them all before the first
+  /// reduction-phase save.
+  size_t EvaluationSaves = 0;
 
   bool loadEvaluation(const std::string &Phase,
                       EvaluationCheckpoint &Out) override {
@@ -83,6 +86,7 @@ public:
   }
   void saveEvaluation(const EvaluationCheckpoint &Checkpoint) override {
     ++Saves;
+    ++EvaluationSaves;
     Inner.saveEvaluation(Checkpoint);
   }
   bool loadReduction(const std::string &Phase,
@@ -141,11 +145,13 @@ std::string runCampaign(const ExecutionPolicy &Policy,
   return Out.str();
 }
 
-/// Interrupts a stored campaign after \p CrashAfterSaves checkpoint saves,
-/// then resumes it at \p ResumeJobs and returns the resumed run's results.
+/// Interrupts a stored campaign running at \p CrashJobs after
+/// \p CrashAfterSaves checkpoint saves, then resumes it at \p ResumeJobs
+/// and returns the resumed run's results.
 std::string crashAndResume(const std::string &Dir, uint64_t Seed,
-                           size_t CrashAfterSaves, size_t ResumeJobs) {
-  ExecutionPolicy Fresh = policyFor(Seed, 1);
+                           size_t CrashAfterSaves, size_t ResumeJobs,
+                           size_t CrashJobs = 1) {
+  ExecutionPolicy Fresh = policyFor(Seed, CrashJobs);
   std::string Error;
   {
     std::unique_ptr<CampaignStore> Store =
@@ -204,6 +210,40 @@ TEST(StoreCampaign, CrashedThenResumedRunIsByteIdentical) {
 TEST(StoreCampaign, ResumeAtEightJobsIsByteIdentical) {
   std::string Baseline = runCampaign(policyFor(5, 1), nullptr);
   EXPECT_EQ(crashAndResume(uniqueDir("jobs8"), 5, 5, 8), Baseline);
+}
+
+TEST(StoreCampaign, CrashWithWorkInFlightThenResumeIsByteIdentical) {
+  // The crashing run uses four jobs, so a save that throws in the reduce
+  // phase does so while the next wave's scan runs on the pool; the phase
+  // must drain it before unwinding. Resuming at one and at eight jobs must
+  // still reproduce the uninterrupted serial run.
+  std::string Baseline = runCampaign(policyFor(5, 1), nullptr);
+  size_t TotalSaves, EvaluationSaves;
+  {
+    std::string Dir = uniqueDir("inflight-count");
+    std::string Error;
+    std::unique_ptr<CampaignStore> Store =
+        CampaignStore::open(Dir, policyFor(5, 4), Error);
+    ASSERT_NE(Store, nullptr) << Error;
+    CountingCheckpointer Counting(*Store);
+    ASSERT_EQ(runCampaign(policyFor(5, 4), &Counting), Baseline);
+    TotalSaves = Counting.Saves;
+    EvaluationSaves = Counting.EvaluationSaves;
+    // At least one mid-phase reduction save precedes the final one.
+    ASSERT_GT(TotalSaves, EvaluationSaves + 1);
+  }
+  // The first reduction save (the next wave's scan is in flight) and the
+  // phase's final save.
+  for (size_t CrashAfterSaves : {EvaluationSaves, TotalSaves - 1})
+    for (size_t ResumeJobs : {size_t(1), size_t(8)}) {
+      std::string Dir = uniqueDir("inflight" + std::to_string(CrashAfterSaves) +
+                                  "-j" + std::to_string(ResumeJobs));
+      EXPECT_EQ(crashAndResume(Dir, 5, CrashAfterSaves, ResumeJobs,
+                               /*CrashJobs=*/4),
+                Baseline)
+          << "crash after " << CrashAfterSaves << " saves, resume at "
+          << ResumeJobs << " jobs";
+    }
 }
 
 TEST(StoreCampaign, ReopenWithoutResumeIsRefused) {

@@ -7,7 +7,8 @@
 /// \file
 /// Unit tests for support/ThreadPool: results come back in submission
 /// order via futures, exceptions propagate through future::get, and
-/// cooperative cancellation lets queued jobs drain cheaply.
+/// cooperative cancellation lets queued jobs drain cheaply. JobBatch never
+/// lets a job outlive it, whether collected, dropped or failing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,6 +90,63 @@ TEST(ThreadPool, DestructorDrainsOutstandingJobs) {
       Pool.submit([&Done] { ++Done; });
   }
   EXPECT_EQ(Done.load(), 16u);
+}
+
+TEST(JobBatch, WaitsForEveryJobBeforeRethrowing) {
+  // The first job fails at once while its siblings are still running. The
+  // exception must not reach the caller until every sibling has finished:
+  // they may reference the caller's locals.
+  ThreadPool Pool(4);
+  std::atomic<size_t> Finished{0};
+  std::vector<std::function<int()>> Jobs;
+  Jobs.push_back([]() -> int { throw std::runtime_error("job failed"); });
+  for (int I = 1; I < 8; ++I)
+    Jobs.push_back([&Finished, I] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ++Finished;
+      return I;
+    });
+  JobBatch<int> Batch(&Pool, std::move(Jobs));
+  EXPECT_THROW(Batch.collect(), std::runtime_error);
+  EXPECT_EQ(Finished.load(), 7u);
+}
+
+TEST(JobBatch, DroppedBatchSkipsQueuedJobsAndDrainsRunningOnes) {
+  ThreadPool Pool(1);
+  std::atomic<bool> Started{false};
+  std::atomic<size_t> Ran{0};
+  {
+    std::vector<std::function<bool()>> Jobs;
+    for (size_t I = 0; I < 8; ++I)
+      Jobs.push_back([&Started, &Ran] {
+        Started = true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        ++Ran;
+        return true;
+      });
+    JobBatch<bool> Batch(&Pool, std::move(Jobs));
+    while (!Started)
+      std::this_thread::yield();
+  }
+  // The running job finished before the batch died; the queued ones never
+  // ran their work.
+  EXPECT_EQ(Ran.load(), 1u);
+  Pool.wait();
+  EXPECT_EQ(Ran.load(), 1u);
+}
+
+TEST(JobBatch, WithoutAPoolJobsRunInlineAtCollect) {
+  std::vector<size_t> Order;
+  std::vector<std::function<size_t()>> Jobs;
+  for (size_t I = 0; I < 4; ++I)
+    Jobs.push_back([&Order, I] {
+      Order.push_back(I);
+      return I * 10;
+    });
+  JobBatch<size_t> Batch(nullptr, std::move(Jobs));
+  EXPECT_TRUE(Order.empty());
+  EXPECT_EQ(Batch.collect(), (std::vector<size_t>{0, 10, 20, 30}));
+  EXPECT_EQ(Order, (std::vector<size_t>{0, 1, 2, 3}));
 }
 
 } // namespace

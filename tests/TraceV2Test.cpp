@@ -20,8 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -140,15 +142,15 @@ TEST(TraceV2, DisabledTracerCostsNothingAndEmitsNothing) {
 /// the test the TSan job leans on for the tracer and the engine's
 /// cross-thread parent handoff.
 TEST(TraceV2, ParallelCampaignTraceIsWellFormed) {
-  std::vector<obs::TraceRecord> Records = traceSession("jobs8", [] {
+  ReductionConfig RC;
+  RC.TestsPerTool = 40;
+  std::vector<obs::TraceRecord> Records = traceSession("jobs8", [&RC] {
     ExecutionPolicy Policy =
         ExecutionPolicy{}.withSeed(5).withJobs(8).withTransformationLimit(120);
     CampaignEngine Engine(Policy, CorpusSpec{}, ToolsetSpec{}, TargetFleet{});
     BugFindingConfig Config;
     Config.TestsPerTool = 40;
     Engine.runBugFinding(Config);
-    ReductionConfig RC;
-    RC.TestsPerTool = 40;
     Engine.runDedup(RC);
   });
   ASSERT_FALSE(Records.empty());
@@ -188,6 +190,28 @@ TEST(TraceV2, ParallelCampaignTraceIsWellFormed) {
                                                   "campaign.evaluate");
   ASSERT_NE(Evaluation, nullptr);
   EXPECT_NE(Evaluation->Parent, 0u);
+
+  // Every reduce-phase scan span hangs off the span of its own wave, also
+  // when the engine started the scan while the previous wave was still
+  // reducing.
+  std::map<uint64_t, const obs::TraceRecord *> SpansById;
+  for (const obs::TraceRecord &Record : Records)
+    if (Record.isSpan())
+      SpansById[Record.Id] = &Record;
+  size_t Scans = 0;
+  for (const obs::TraceRecord &Record : Records) {
+    if (Record.Name != "campaign.scan")
+      continue;
+    ++Scans;
+    auto Wave = SpansById.find(Record.Parent);
+    ASSERT_NE(Wave, SpansById.end());
+    EXPECT_EQ(Wave->second->Name, "campaign.wave");
+    size_t Test = static_cast<size_t>(Record.Numbers.at("test"));
+    EXPECT_EQ(Wave->second->Numbers.at("wave"),
+              std::min<size_t>(RC.TestsPerTool, (Test / 32 + 1) * 32))
+        << "test " << Test;
+  }
+  EXPECT_GT(Scans, 32u); // more than one wave
 
   // The per-phase breakdown renders and attributes the pipeline stages.
   std::string Report = obs::renderTraceReport(Records, nullptr);
